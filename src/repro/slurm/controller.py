@@ -77,10 +77,11 @@ class SlurmConfig:
     #: behaviour; off by default here because the paper's workloads are
     #: well-behaved and malleable jobs rescale their limits on resize).
     enforce_time_limits: bool = False
-    #: Use the incrementally-maintained pending queue and running-jobs
-    #: expected-end index (O(k log n) per pass in jobs actually touched)
-    #: instead of the legacy re-sort-everything-per-pass path.  Both
-    #: produce byte-identical schedules (pinned by the golden-trace
+    #: Use the sorted pending index (read in place by the FIFO pass, the
+    #: backfill pass and the Algorithm 1 policy view) and the running-jobs
+    #: expected-end index, so a pass costs O(k log n) in the k jobs it
+    #: examines, instead of the legacy re-sort-everything-per-pass path.
+    #: Both produce byte-identical schedules (pinned by the golden-trace
     #: suite); the flag exists so benches and the golden tests can run
     #: the legacy scheduler for comparison.
     incremental_queue: bool = True
@@ -367,49 +368,41 @@ class SlurmController:
         priority jobs only jump the queue during the periodic backfill
         thread's pass (:meth:`_backfill_pass`).
 
-        Incremental mode peeks at the priority heap's head and only
-        checks a job out once it is known to start (or be skipped for an
-        unsatisfied dependency) — O(k log n) in the k jobs that actually
-        move, and O(1) with *zero* heap traffic for the common saturated
-        case where the head does not fit.  Legacy mode re-sorts the whole
-        queue, as the original controller did; both produce the same
-        starts in the same order.
+        Incremental mode walks the queue's live order in place: it steps
+        past dependency-blocked jobs without touching them, and a start
+        removes the job from the order, so the next candidate sits at the
+        same index.  The pass costs O(k log n) in the k jobs it examines
+        and writes nothing when the head does not fit.  Legacy mode
+        re-sorts the whole queue, as the original controller did; both
+        produce the same starts in the same order.
         """
         self._pass_scheduled = False
         if self.queue is None:
             self._scheduling_pass_legacy()
             return
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        now = self.env.now
         free = self.machine.free_count
         examined = started = 0
-        deferred: List[Job] = []  # dependency-unsatisfied, skipped over
-        while True:
-            job = self.queue.peek_head(now)
-            if job is None:
-                break
+        jobs = self.queue.live(self.env.now)
+        i = 0
+        while i < len(jobs):
+            job = jobs[i]
             examined += 1
             if not self._dependency_satisfied(job):
-                self.queue.pop_head(now)
-                deferred.append(job)
+                i += 1
                 continue
             if job.num_nodes > free:
                 # Moldable jobs (the paper's future-work "flexible
                 # submission") may start below their submitted size.
                 fitted = self._moldable_fit(job, free)
                 if fitted is None:
-                    # Strict order: the blocked head stops the pass.  It
-                    # was never checked out, so nothing is pushed back.
-                    break
-                self.queue.pop_head(now)
+                    break  # strict order: the blocked head stops the pass
+                # Leave the queue under the size it was indexed with.
+                self.queue.discard(job)
                 job.num_nodes = fitted
-            else:
-                self.queue.pop_head(now)
             self._start_job(job)
             started += 1
             free -= job.num_nodes
-        for job in deferred:
-            self.queue.push_back(job)
         self._note_pass("fifo", examined, started, wall_t0)
 
     def _scheduling_pass_legacy(self) -> None:
@@ -491,24 +484,21 @@ class SlurmController:
             self._backfill_thread_alive = False
 
     def _backfill_pass(self) -> None:
+        """Periodic EASY pass over the first ``BF_MAX_JOB_TEST``
+        dependency-satisfied jobs, read from the live order in place
+        (blocked ones are skipped, like the legacy full-queue filter)."""
         if self.queue is None:
             self._backfill_pass_legacy()
             return
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        # Pop candidates in priority order until bf_max_job_test eligible
-        # ones are in hand (dependency-blocked jobs are skipped, exactly
-        # like the legacy full-queue filter); everything the planner does
-        # not start goes back with its cached key.
         eligible: List[Job] = []
-        deferred: List[Job] = []
-        while len(eligible) < BF_MAX_JOB_TEST:
-            job = self.queue.pop_head(self.env.now)
-            if job is None:
-                break
+        examined = 0
+        for job in self.queue.live(self.env.now):
+            examined += 1
             if self._dependency_satisfied(job):
                 eligible.append(job)
-            else:
-                deferred.append(job)
+                if len(eligible) == BF_MAX_JOB_TEST:
+                    break
         starts, _reservation = plan_backfill(
             eligible,
             self._end_jobs,
@@ -517,17 +507,9 @@ class SlurmController:
             running_presorted=True,
             unreturnable=self.machine.held_unreturnable,
         )
-        started_ids = {job.job_id for job in starts}
-        for job in eligible:
-            if job.job_id not in started_ids:
-                self.queue.push_back(job)
-        for job in deferred:
-            self.queue.push_back(job)
         for job in starts:
             self._start_job(job)
-        self._note_pass(
-            "backfill", len(eligible) + len(deferred), len(starts), wall_t0
-        )
+        self._note_pass("backfill", examined, len(starts), wall_t0)
 
     def _backfill_pass_legacy(self) -> None:
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
@@ -592,10 +574,16 @@ class SlurmController:
     # -- reconfiguration policy entry (used by the DMR API) --------------------
     def policy_view(self) -> PolicyView:
         """Snapshot of the scheduler state for a reconfiguration decision."""
+        queue = self.queue
         return PolicyView(
             free_nodes=self.machine.free_count,
-            pending=tuple(self.pending_jobs(include_resizers=False)),
+            pending=(
+                tuple(self.pending_jobs(include_resizers=False))
+                if queue is None else queue.policy_snapshot(self.env.now)
+            ),
             running_count=len(self.running),
+            # Legacy mode leaves it to PolicyView to derive from pending.
+            min_pending_nodes=None if queue is None else queue.min_pending_nodes,
         )
 
     def check_status(

@@ -1,34 +1,38 @@
 """Incrementally-maintained pending queue — the scheduler's hot path.
 
 The original controller re-sorted the whole pending queue with freshly
-computed multifactor priorities on *every* scheduling pass, making each
-submit/finish/shrink O(n log n) in the total queue and the full trace
-O(n^2) — fine for the paper's 10-400 job workloads, hopeless for 50k-job
-SWF replays.  :class:`PendingQueue` keeps the queue in a binary heap
-ordered by :meth:`~repro.slurm.priority.MultifactorPriority.sort_key`,
-which is *time-invariant* while every entry's age factor is below
-saturation, so a scheduling pass only pays O(k log n) for the k jobs it
-actually examines and a job's key is computed once at submission instead
-of once per pass.
+computed multifactor priorities on *every* scheduling pass, making the
+full trace O(n^2) — fine for the paper's 10-400 job workloads, hopeless
+for 50k-job SWF replays.  :class:`PendingQueue` keeps a pair of parallel
+lists sorted by :meth:`~repro.slurm.priority.MultifactorPriority.sort_key`
+with :mod:`bisect`, the idiom of the controller's expected-end index.
+The key is *time-invariant* while every entry's age factor is below
+saturation, so a job is keyed once, at submission.
+
+Readers use the order in place: the FIFO pass walks :meth:`live` past
+dependency-blocked jobs, the backfill pass takes its first
+``bf_max_job_test`` eligible jobs from it, and the Algorithm 1 policy
+view is a tuple copy of it.  Starting a job is the only queue write a
+pass makes.  A sorted multiset of the queued non-resizer sizes, each
+recorded at insert, answers Algorithm 1's "some pending job fits" test
+in O(1) (:attr:`PendingQueue.min_pending_nodes`).
 
 Saturation (a job pending longer than ``PriorityMaxAge``, 7 days by
 default) breaks the time-invariance: a saturated job's priority stops
 growing while younger jobs keep catching up.  The queue watches the
-earliest saturation deadline and, once crossed, degrades to re-keying the
-live entries per distinct timestamp — exactly the legacy cost, only for
-queues that have had jobs pending for a week.
+earliest saturation deadline and, once crossed, degrades to re-keying and
+re-sorting the same lists in place per distinct timestamp — exactly the
+legacy cost, only for queues that have had jobs pending for a week.
 
-:class:`SchedStats` counts the work both scheduler modes perform
-(priority-key evaluations, heap traffic, jobs examined per pass); the
-``repro bench sched`` harness reads it to prove the incremental path does
-asymptotically less work than the legacy resort-per-pass path.
+:class:`SchedStats` counts the work both scheduler modes perform; the
+``repro bench sched`` harness reads it to prove the incremental path
+does asymptotically less work than the legacy resort-per-pass path.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from itertools import count
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.slurm.job import Job
@@ -44,6 +48,10 @@ class SchedStats:
     shadow ordering) make up the bench's "comparisons" metric: they are
     the per-job work the legacy scheduler redoes on every pass and the
     incremental scheduler performs once per queue update.
+
+    ``heap_pushes`` and ``heap_pops`` keep their historical names but
+    count pending-index inserts (submit, requeue, re-key) and removals
+    (start, cancel, re-key); passes that only read add to neither.
     """
 
     fifo_passes: int = 0
@@ -102,136 +110,86 @@ class SchedStats:
         }
 
 
-#: Heap entries are mutable ``[key, serial, job]`` triples; a dead entry
-#: (removed or re-keyed) has its job slot cleared and is skipped lazily
-#: at pop time.  The serial breaks exact key ties (a re-keyed job briefly
-#: coexists with its dead predecessor under the same key), so the job
-#: slot itself is never compared.
-_Entry = List[object]
-
-
 class PendingQueue:
-    """Priority-ordered pending jobs with O(log n) incremental updates."""
+    """Priority-ordered pending jobs with O(log n) search per update."""
 
     def __init__(
         self, engine: MultifactorPriority, stats: Optional[SchedStats] = None
     ) -> None:
         self.engine = engine
         self.stats = stats if stats is not None else SchedStats()
-        self._heap: List[_Entry] = []
-        self._entries: Dict[int, _Entry] = {}
-        #: Keys of jobs popped by an in-flight pass, kept so push_back
-        #: can reinsert without recomputing.
-        self._checked_out: Dict[int, Tuple] = {}
-        self._ordered_cache: Optional[List[Job]] = None
+        #: Sort keys, ascending (head first), and the jobs they key.
+        #: Keys end in the job id, so they are unique and jobs are never
+        #: compared.
+        self._keys: List[Tuple] = []
+        self._jobs: List[Job] = []
+        self._key_of: Dict[int, Tuple] = {}
+        #: Sizes of the queued non-resizer jobs, ascending, each as it
+        #: was when the job was inserted.
+        self._sizes: List[int] = []
+        self._size_of: Dict[int, int] = {}
         #: Earliest time any current entry's age factor saturates.
         self._min_expiry = float("inf")
         #: True once a saturated entry is live: static keys are no longer
         #: trustworthy and the queue re-keys per distinct timestamp.
         self._stale = False
         self._fresh_at = float("-inf")
-        self._serial = count()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._jobs)
 
     def __contains__(self, job: Job) -> bool:
-        return job.job_id in self._entries
+        return job.job_id in self._key_of
 
     # -- updates -----------------------------------------------------------
     def add(self, job: Job, now: float) -> None:
         """Insert a newly pending job (its key is computed once, here)."""
         self._insert(job, self._key(job, now))
-        depth = len(self._entries)
+        depth = len(self._jobs)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
 
     def discard(self, job: Job) -> None:
         """Remove a job wherever it is (no-op when absent)."""
-        entry = self._entries.pop(job.job_id, None)
-        if entry is not None:
-            entry[2] = None  # lazily dropped at the next pop that sees it
-            self._ordered_cache = None
-        self._checked_out.pop(job.job_id, None)
+        key = self._key_of.pop(job.job_id, None)
+        if key is not None:
+            self._remove(job, key)
 
     def reprioritize(self, job: Job, now: float) -> None:
         """Re-key a pending job after a priority change (e.g. max-priority
         boost of a shrink beneficiary)."""
-        entry = self._entries.pop(job.job_id, None)
-        if entry is None:
+        key = self._key_of.pop(job.job_id, None)
+        if key is None:
             return
-        entry[2] = None
+        self._remove(job, key)
         self._insert(job, self._key(job, now))
 
-    # -- pass-side consumption ---------------------------------------------
-    def peek_head(self, now: float) -> Optional[Job]:
-        """The highest-priority job without checking it out (None if empty).
-
-        Lets a scheduling pass look at the queue head for free: when the
-        head does not fit the free nodes the pass ends without ever
-        touching the heap, instead of paying a pop/push-back round trip
-        for every event-driven pass in a saturated system.  Dead entries
-        encountered on the way are dropped, exactly as in
-        :meth:`pop_head`.
-        """
-        self._ensure_fresh(now)
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            job = entry[2]
-            if job is None or self._entries.get(job.job_id) is not entry:
-                heapq.heappop(heap)  # dead entry
-                continue
-            return job
-        return None
-
-    def pop_head(self, now: float) -> Optional[Job]:
-        """Check out the highest-priority job (None when empty).
-
-        The caller either starts the job, abandons it via :meth:`forget`,
-        or returns it untouched with :meth:`push_back` (no re-keying).
-        """
-        self._ensure_fresh(now)
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            job = entry[2]
-            if job is None or self._entries.get(job.job_id) is not entry:
-                heapq.heappop(heap)  # dead entry
-                continue
-            heapq.heappop(heap)
-            del self._entries[job.job_id]
-            self._checked_out[job.job_id] = entry[0]
-            self.stats.heap_pops += 1
-            self._ordered_cache = None
-            return job
-        return None
-
-    def push_back(self, job: Job) -> None:
-        """Return a checked-out job to the queue with its cached key."""
-        key = self._checked_out.pop(job.job_id)
-        self._insert(job, key)
-
-    def forget(self, job: Job) -> None:
-        """Drop the checkout record of a job that started (or died)."""
-        self._checked_out.pop(job.job_id, None)
-
     # -- ordered views -------------------------------------------------------
-    def ordered(self, now: float) -> List[Job]:
-        """All pending jobs in scheduling order (fresh list per call).
+    def live(self, now: float) -> List[Job]:
+        """All pending jobs in scheduling order: the queue's own list.
 
-        Jobs currently checked out by an in-flight pass are not listed;
-        passes are synchronous, so outside observers never see a
-        checkout in progress.
+        Read it in place, never mutate it: after the job at index ``i``
+        starts (is discarded), the next job sits at that same index.
         """
         self._ensure_fresh(now)
-        if self._ordered_cache is None:
-            live = sorted(
-                (entry for entry in self._entries.values()),
-                key=lambda entry: entry[0],
-            )
-            self._ordered_cache = [entry[2] for entry in live]
-        return list(self._ordered_cache)
+        return self._jobs
+
+    def ordered(self, now: float) -> List[Job]:
+        """All pending jobs in scheduling order (fresh list per call)."""
+        return list(self.live(now))
+
+    def policy_snapshot(self, now: float) -> Tuple[Job, ...]:
+        """Pending non-resizer jobs in scheduling order (Algorithm 1's
+        view): a tuple copy, filtered only while a resizer is queued."""
+        jobs = self.live(now)
+        if len(self._size_of) == len(jobs):
+            return tuple(jobs)
+        return tuple(job for job in jobs if not job.is_resizer)
+
+    @property
+    def min_pending_nodes(self) -> Optional[int]:
+        """Smallest size among the queued non-resizer jobs (None if none)."""
+        return self._sizes[0] if self._sizes else None
 
     # -- internals -----------------------------------------------------------
     def _key(self, job: Job, now: float) -> Tuple:
@@ -239,12 +197,25 @@ class PendingQueue:
         return self.engine.sort_key(job, now)
 
     def _insert(self, job: Job, key: Tuple) -> None:
-        entry: _Entry = [key, next(self._serial), job]
-        self._entries[job.job_id] = entry
-        heapq.heappush(self._heap, entry)
+        i = bisect_left(self._keys, key)
+        self._keys.insert(i, key)
+        self._jobs.insert(i, job)
+        self._key_of[job.job_id] = key
+        if not job.is_resizer:
+            size = job.num_nodes
+            self._size_of[job.job_id] = size
+            insort(self._sizes, size)
         self.stats.heap_pushes += 1
         self._note_expiry(job)
-        self._ordered_cache = None
+
+    def _remove(self, job: Job, key: Tuple) -> None:
+        i = bisect_left(self._keys, key)
+        del self._keys[i]
+        del self._jobs[i]
+        size = self._size_of.pop(job.job_id, None)
+        if size is not None:
+            del self._sizes[bisect_left(self._sizes, size)]
+        self.stats.heap_pops += 1
 
     def _note_expiry(self, job: Job) -> None:
         if job.priority_boost == float("inf") or job.submit_time is None:
@@ -261,18 +232,13 @@ class PendingQueue:
         self._rebuild(now)
 
     def _rebuild(self, now: float) -> None:
-        """Re-key every live entry at ``now`` (saturated-queue fallback)."""
-        jobs = [entry[2] for entry in self._entries.values()]
-        self._heap = []
-        self._entries = {}
+        """Re-key every queued job at ``now`` and re-sort the lists in
+        place (saturated-queue fallback)."""
         self._min_expiry = float("inf")
         self._stale = False
-        self._ordered_cache = None
-        for job in jobs:
-            key = self._key(job, now)
-            entry: _Entry = [key, next(self._serial), job]
-            self._entries[job.job_id] = entry
-            self._heap.append(entry)
+        keyed = []
+        for job in self._jobs:
+            keyed.append((self._key(job, now), job))
             self._note_expiry(job)
             if (
                 job.priority_boost != float("inf")
@@ -280,6 +246,9 @@ class PendingQueue:
                 and now - job.submit_time >= self.engine.config.max_age
             ):
                 self._stale = True
-        heapq.heapify(self._heap)
+        keyed.sort()  # keys are unique, so jobs are never compared
+        self._keys[:] = [key for key, _ in keyed]
+        self._jobs[:] = [job for _, job in keyed]
+        self._key_of = {job.job_id: key for key, job in keyed}
         self._fresh_at = now
         self.stats.queue_rebuilds += 1

@@ -39,10 +39,16 @@ class PolicyView:
     pending: Tuple[Job, ...] = ()
     #: Number of running jobs (including the caller).
     running_count: int = 1
+    #: Smallest ``num_nodes`` in ``pending`` (None when it is empty); the
+    #: controller reads it from the queue's size index, else it is derived.
+    min_pending_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.free_nodes < 0:
             raise ValueError(f"free_nodes must be >= 0, got {self.free_nodes}")
+        if self.min_pending_nodes is None and self.pending:
+            smallest = min(job.num_nodes for job in self.pending)
+            object.__setattr__(self, "min_pending_nodes", smallest)
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ class ReconfigurationPolicy:
             # If some queued job already fits in the free nodes, take no
             # action: the scheduler will start it, and expanding now would
             # steal its resources.
-            if any(p.num_nodes <= view.free_nodes for p in view.pending):
+            if view.min_pending_nodes <= view.free_nodes:
                 return ResizeDecision.no_action(current, DecisionReason.PENDING_FITS)
             shrink = self._shrink_for_pending(current, request, view)
             if shrink is not None:

@@ -217,9 +217,9 @@ def replay_sched_trace(
 def peak_rss_mb() -> float:
     """Process peak RSS in MiB (the kernel's high-water mark).
 
-    Monotone over the process lifetime: a bench row's value is the
-    high-water mark *as of the end of that replay*, so only the largest
-    (last) replay's number bounds the bench itself.
+    Monotone over the process lifetime, so it is a replay's own number
+    only in a process that ran nothing larger before it; that is why
+    :func:`run_sched_bench` gives every row a fresh child process.
     """
     import resource
     import sys
@@ -264,79 +264,49 @@ def run_sched_bench(
     ``SCHED_LEAN_MIN`` replay lean (flat memory, see
     :func:`replay_sched_trace`).
 
+    Every row replays in a fresh child process (:func:`replay_in_child`)
+    that regenerates its trace from the size and seed, so each row's
+    ``peak_rss_mb`` is its own.
+
     ``profile_path`` wraps the *largest* size's incremental replay in
     cProfile and dumps pstats data there (the CI flamegraph artifact);
     ``trace_path`` records that same replay's spans and exports them as
     a Perfetto-loadable Chrome trace-event file.
     """
-    from repro.workload.generator import sched_trace, sched_trace_via_swf
-
     if sizes is None:
         sizes = SCHED_QUICK_SIZES if quick else SCHED_SIZES
     say = progress if progress is not None else (lambda message: None)
     t_total = time.perf_counter()
     traces: Dict[str, object] = {}
-    generated = {}
     for size in sizes:
-        if size not in generated:
-            say(f"generating {size}-job Feitelson trace")
-            generated[size] = sched_trace(size, seed=seed)
-        trace = generated[size]
         lean = size >= SCHED_LEAN_MIN
         say(
             f"replaying {size}-job trace (incremental scheduler"
             + (", lean)" if lean else ")")
         )
-        telemetry = None
-        if trace_path is not None and size == max(sizes):
-            from repro.obs.spans import Telemetry, TelemetryConfig
-
-            telemetry = Telemetry(
-                TelemetryConfig(correlation_id=f"bench-sched-{size}")
-            )
-        if profile_path is not None and size == max(sizes):
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            incremental = replay_sched_trace(
-                trace, incremental=True, lean=lean, telemetry=telemetry
-            )
-            profiler.disable()
-            profiler.dump_stats(profile_path)
-            say(f"profile of the {size}-job replay written to {profile_path}")
-        else:
-            incremental = replay_sched_trace(
-                trace, incremental=True, lean=lean, telemetry=telemetry
-            )
-        if telemetry is not None:
-            from repro.obs.perfetto import export_perfetto
-
-            exported = export_perfetto(
-                trace_path,
-                spans=telemetry.spans,
-                correlation_id=telemetry.correlation_id,
-                dropped=telemetry.dropped,
-            )
-            say(
-                f"perfetto trace of the {size}-job replay "
-                f"({exported['events']} events) written to {trace_path}"
-            )
+        diagnostics = {}
+        if size == max(sizes):
+            diagnostics = {"profile_path": profile_path,
+                           "trace_path": trace_path}
+        incremental = replay_in_child(size, seed, lean=lean, **diagnostics)
+        for path in filter(None, diagnostics.values()):
+            say(f"diagnostics of the {size}-job replay written to {path}")
         entry: Dict[str, object] = {"incremental": incremental}
         if legacy and size <= legacy_cap:
             say(f"replaying {size}-job trace (legacy scheduler)")
-            entry["legacy"] = replay_sched_trace(trace, incremental=False)
+            entry["legacy"] = replay_in_child(size, seed, incremental=False)
             entry["speedup"] = speedup_of(entry["legacy"], entry["incremental"])
         traces[str(size)] = entry
 
     swf_size = min(sizes)
     say(f"replaying {swf_size}-job SWF round-trip trace")
-    swf_trace = sched_trace_via_swf(generated[swf_size])
     swf_entry: Dict[str, object] = {
-        "incremental": replay_sched_trace(swf_trace, incremental=True)
+        "incremental": replay_in_child(swf_size, seed, swf=True)
     }
     if legacy and swf_size <= legacy_cap:
-        swf_entry["legacy"] = replay_sched_trace(swf_trace, incremental=False)
+        swf_entry["legacy"] = replay_in_child(
+            swf_size, seed, swf=True, incremental=False
+        )
         swf_entry["speedup"] = speedup_of(
             swf_entry["legacy"], swf_entry["incremental"]
         )
@@ -351,6 +321,61 @@ def run_sched_bench(
         "swf_roundtrip": {str(swf_size): swf_entry},
         "total_wall_s": time.perf_counter() - t_total,
     }
+
+
+def _replay_row(size: int, seed: int, swf: bool = False,
+                profile_path: Optional[str] = None,
+                trace_path: Optional[str] = None,
+                **options) -> Dict[str, object]:
+    from repro.workload.generator import sched_trace, sched_trace_via_swf
+
+    trace = sched_trace(size, seed=seed)
+    if swf:
+        trace = sched_trace_via_swf(trace)
+    if trace_path is not None:
+        from repro.obs.spans import Telemetry, TelemetryConfig
+
+        options["telemetry"] = Telemetry(
+            TelemetryConfig(correlation_id=f"bench-sched-{size}")
+        )
+    if profile_path is None:
+        stats = replay_sched_trace(trace, **options)
+    else:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        stats = profiler.runcall(replay_sched_trace, trace, **options)
+        profiler.dump_stats(profile_path)
+    if trace_path is not None:
+        from repro.obs.perfetto import export_perfetto
+
+        telemetry = options["telemetry"]
+        export_perfetto(
+            trace_path,
+            spans=telemetry.spans,
+            correlation_id=telemetry.correlation_id,
+            dropped=telemetry.dropped,
+        )
+    return stats
+
+
+def replay_in_child(size: int, seed: int, swf: bool = False,
+                    **options) -> Dict[str, object]:
+    """One bench row, replayed in a freshly spawned interpreter.
+
+    The child regenerates the ``size``-job trace from ``seed`` (and its
+    SWF round trip when ``swf``) instead of receiving a pickled trace, so
+    its ``peak_rss_mb`` is the row's own high-water mark rather than one
+    inherited from an earlier, larger replay.  ``profile_path`` and
+    ``trace_path`` write the replay's cProfile data and Perfetto spans;
+    other ``options`` go to :func:`replay_sched_trace`.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        return pool.submit(_replay_row, size, seed, swf, **options).result()
 
 
 def speedup_of(

@@ -150,13 +150,23 @@ class TestPolicyProperties:
 # (every start, backfill pick, requeue, resize decision and allocation
 # change, in order) must match exactly.  Every replay also runs under the
 # InvariantObserver, so the fuzz doubles as an invariant hunt.
+#
+# Flexible jobs put Algorithm 1 in the loop: their replay calls
+# ``check_status`` at fuzzed intervals, so shrink-for-pending boosts
+# re-key their beneficiaries, and grants run through ``expand_protocol``,
+# so dependent resizers sit in the queue.  A fuzzed small
+# ``PriorityMaxAge`` makes the saturated-queue re-sort run too.
+
+import random
 
 from repro.cluster import Machine
-from repro.metrics.trace import canonical_lines
+from repro.core import DecisionReason
+from repro.metrics.trace import EventKind, canonical_lines
 from repro.sim import Environment
 from repro.sim.process import Interrupt
-from repro.slurm import SlurmConfig, SlurmController
+from repro.slurm import MultifactorConfig, SlurmConfig, SlurmController
 from repro.slurm.job import JobClass
+from repro.slurm.resize import expand_protocol
 from repro.testing import InvariantObserver, run_bounded
 
 DIFF_NODES = 12
@@ -171,6 +181,14 @@ class TraceJob:
     gap: float  # arrival gap after the previous submission
     moldable: bool
     cancel_after: Optional[float]  # seconds after submission, or None
+    flexible: bool = False
+    check_every: float = 10.0  # seconds between reconfiguring points
+    #: Apply each decision one reconfiguring point late, as
+    #: ``dmr_icheck_status`` does: an expansion's nodes may be gone by
+    #: then, so its resizer waits in the queue.
+    stale: bool = False
+    #: Depend on the previously submitted job (held while it is pending).
+    after_previous: bool = False
 
 
 @dataclass(frozen=True)
@@ -188,6 +206,10 @@ job_strategy = st.builds(
     gap=st.floats(0.0, 40.0),
     moldable=st.booleans(),
     cancel_after=st.one_of(st.none(), st.floats(0.0, 200.0)),
+    flexible=st.booleans(),
+    check_every=st.floats(1.0, 60.0),
+    stale=st.booleans(),
+    after_previous=st.booleans(),
 )
 
 fault_strategy = st.builds(
@@ -197,28 +219,80 @@ fault_strategy = st.builds(
     repair_after=st.one_of(st.none(), st.floats(1.0, 300.0)),
 )
 
+#: None keeps Slurm's 7-day PriorityMaxAge; the short ones saturate
+#: jobs that wait a few minutes.
+max_age_strategy = st.one_of(st.none(), st.floats(20.0, 600.0))
+
 
 def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
-                         incremental: bool) -> List[str]:
-    """Replay a fuzzed trace through one scheduler mode; canonical lines."""
+                         incremental: bool,
+                         max_age: Optional[float] = None) -> SlurmController:
+    """Replay a fuzzed trace through one scheduler mode."""
     env = Environment()
     machine = Machine(DIFF_NODES)
+    priority = (
+        MultifactorConfig() if max_age is None
+        else MultifactorConfig(max_age=max_age)
+    )
     ctl = SlurmController(
-        env, machine, SlurmConfig(incremental_queue=incremental)
+        env, machine,
+        SlurmConfig(incremental_queue=incremental, priority=priority),
     )
     observer = InvariantObserver(controller=ctl)
     ctl.trace.subscribe(observer.on_event)
-    runtimes = {}
+    specs = {}
 
     def execute(job):
         try:
-            yield env.timeout(runtimes[job.job_id])
+            yield env.timeout(specs[job.job_id].runtime)
             ctl.finish_job(job)
         except Interrupt:
             return  # cancelled or requeued; the controller settled it
 
+    def apply(job, decision):
+        if decision.action is ResizeAction.EXPAND:
+            if decision.target_procs > job.num_nodes:
+                yield from expand_protocol(ctl, job, decision.target_procs)
+        elif decision.action is ResizeAction.SHRINK:
+            if decision.target_procs < job.num_nodes:
+                ctl.shrink_job(job, decision.target_procs)
+
+    def execute_flexible(job):
+        """Work through node-seconds, deciding at every reconfiguring point."""
+        spec = specs[job.job_id]
+        work = spec.runtime * job.num_nodes
+        late = None  # the decision a stale job applies next
+        try:
+            while True:
+                step = min(spec.check_every, work / job.num_nodes)
+                yield env.timeout(step)
+                work -= step * job.num_nodes
+                if work <= 1e-9 * spec.runtime:
+                    break
+                forced = ctl.take_forced(job)
+                if forced is not None:
+                    if forced.target_procs < 1:
+                        ctl.requeue_job(job, reason="node_failure")
+                        return
+                    released = job.num_nodes - forced.target_procs
+                    dead = machine.down_nodes_of(job.job_id)[:released]
+                    ctl.shrink_job(job, forced.target_procs, victims=dead)
+                    continue
+                decision = ctl.check_status(job, job.resize_request)
+                if spec.stale:
+                    decision, late = late, decision
+                if decision is not None:
+                    yield from apply(job, decision)
+            ctl.finish_job(job)
+        except Interrupt:
+            # Cancelled mid-expansion: withdraw the resizer left behind.
+            for other in list(ctl.pending.values()) + list(ctl.running.values()):
+                if other.is_resizer and other.parent_id == job.job_id:
+                    ctl.cancel_job(other)
+
     def launcher(job):
-        proc = env.process(execute(job), name=f"run-{job.job_id}")
+        run = execute_flexible if job.is_flexible else execute
+        proc = env.process(run(job), name=f"run-{job.job_id}")
         ctl.register_job_process(job, proc)
 
     ctl.launcher = launcher
@@ -229,12 +303,23 @@ def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
             ctl.cancel_job(job)
 
     def submitter():
+        previous = None
         for spec in jobs:
             if spec.gap > 0:
                 yield env.timeout(spec.gap)
             kwargs = {}
-            if spec.moldable:
-                kwargs = dict(
+            if spec.after_previous and previous is not None:
+                kwargs["dependency"] = previous.job_id
+            if spec.flexible:
+                kwargs.update(
+                    job_class=JobClass.MALLEABLE,
+                    moldable_start=spec.moldable,
+                    resize_request=ResizeRequest(
+                        min_procs=1, max_procs=DIFF_NODES, factor=1
+                    ),
+                )
+            elif spec.moldable:
+                kwargs.update(
                     job_class=JobClass.MOLDABLE,
                     resize_request=ResizeRequest(
                         min_procs=1, max_procs=spec.nodes
@@ -248,7 +333,8 @@ def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
                     **kwargs,
                 )
             )
-            runtimes[job.job_id] = spec.runtime
+            specs[job.job_id] = spec
+            previous = job
             if spec.cancel_after is not None:
                 env.process(canceller(job, spec.cancel_after))
 
@@ -275,23 +361,65 @@ def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
     env.process(fault_driver(), name="faults")
     run_bounded(env, until=DIFF_HORIZON, max_events=500_000)
     assert observer.verify_final() > 0
-    return canonical_lines(ctl.trace)
+    return ctl
+
+
+def _assert_modes_agree(jobs, faults, max_age=None) -> SlurmController:
+    """Both scheduler modes emit the same canonical trace; returns the
+    incremental controller."""
+    legacy = _replay_differential(jobs, faults, False, max_age)
+    incremental = _replay_differential(jobs, faults, True, max_age)
+    assert canonical_lines(legacy.trace) == canonical_lines(incremental.trace)
+    return incremental
 
 
 class TestDifferentialSchedulerEquivalence:
-    @given(jobs=st.lists(job_strategy, min_size=1, max_size=18))
+    @given(
+        jobs=st.lists(job_strategy, min_size=1, max_size=18),
+        max_age=max_age_strategy,
+    )
     @settings(max_examples=40, deadline=None)
-    def test_identical_traces_without_faults(self, jobs):
-        legacy = _replay_differential(jobs, [], incremental=False)
-        incremental = _replay_differential(jobs, [], incremental=True)
-        assert legacy == incremental
+    def test_identical_traces_without_faults(self, jobs, max_age):
+        _assert_modes_agree(jobs, [], max_age)
 
     @given(
         jobs=st.lists(job_strategy, min_size=1, max_size=14),
         faults=st.lists(fault_strategy, max_size=4),
+        max_age=max_age_strategy,
     )
     @settings(max_examples=40, deadline=None)
-    def test_identical_traces_with_faults(self, jobs, faults):
-        legacy = _replay_differential(jobs, faults, incremental=False)
-        incremental = _replay_differential(jobs, faults, incremental=True)
-        assert legacy == incremental
+    def test_identical_traces_with_faults(self, jobs, faults, max_age):
+        _assert_modes_agree(jobs, faults, max_age)
+
+    def test_fuzz_reaches_algorithm_1(self):
+        """The generator reaches what the fuzz exists for: shrinks that
+        boost a queued beneficiary, resizers left waiting in the queue,
+        and the saturated-queue re-sort."""
+        rng = random.Random(11)
+        jobs = [
+            TraceJob(
+                nodes=rng.randint(1, 8),
+                runtime=rng.uniform(20.0, 300.0),
+                limit_factor=1.5,
+                gap=rng.uniform(0.0, 15.0),
+                moldable=False,
+                cancel_after=None,
+                flexible=rng.random() < 0.6,
+                check_every=rng.uniform(2.0, 20.0),
+                stale=rng.random() < 0.5,
+                after_previous=rng.random() < 0.2,
+            )
+            for _ in range(24)
+        ]
+        ctl = _assert_modes_agree(jobs, [], max_age=120.0)
+        kinds = {event.kind for event in ctl.trace}
+        reasons = {
+            event.data["reason"]
+            for event in ctl.trace
+            if event.kind is EventKind.RESIZE_DECISION
+        }
+        assert DecisionReason.SHRINK_FOR_PENDING.value in reasons
+        assert EventKind.RESIZE_EXPAND in kinds
+        # A resizer that timed out had sat in the queue.
+        assert EventKind.RESIZE_ABORT in kinds
+        assert ctl.stats.queue_rebuilds > 0
