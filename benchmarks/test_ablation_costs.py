@@ -10,15 +10,15 @@ from dataclasses import replace
 
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import GiB, marenostrum_preliminary
-from repro.experiments.common import run_paired
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.workload import FSWorkloadConfig, fs_workload
 
 
 def sweep_state_bytes(num_jobs: int = 25, seed: int = 2017):
-    cluster = marenostrum_preliminary()
+    session = Session(cluster=marenostrum_preliminary(), runtime=RuntimeConfig())
     rows = []
     gains = {}
     for label, nbytes in [
@@ -28,11 +28,7 @@ def sweep_state_bytes(num_jobs: int = 25, seed: int = 2017):
         ("64 GiB", 64.0 * GiB),
     ]:
         cfg = FSWorkloadConfig(state_bytes=nbytes)
-        pair = run_paired(
-            fs_workload(num_jobs, seed=seed, config=cfg),
-            cluster,
-            runtime_config=RuntimeConfig(),
-        )
+        pair = session.run_paired(fs_workload(num_jobs, seed=seed, config=cfg))
         rows.append([label, pair.flexible.makespan, pair.makespan_gain])
         gains[label] = pair.makespan_gain
     table = format_table(
@@ -48,11 +44,8 @@ def sweep_check_cost(num_jobs: int = 25, seed: int = 2017):
     rows = []
     gains = {}
     for cost in (0.0, 0.15, 1.0, 5.0):
-        pair = run_paired(
-            fs_workload(num_jobs, seed=seed),
-            cluster,
-            runtime_config=RuntimeConfig(check_cost=cost),
-        )
+        session = Session(cluster=cluster, runtime=RuntimeConfig(check_cost=cost))
+        pair = session.run_paired(fs_workload(num_jobs, seed=seed))
         rows.append([cost, pair.flexible.makespan, pair.makespan_gain])
         gains[cost] = pair.makespan_gain
     table = format_table(

@@ -12,8 +12,8 @@ This bench quantifies each choice on the 50-job FS workload.
 
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import marenostrum_preliminary
-from repro.experiments.common import run_paired
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.slurm import PolicyConfig, SlurmConfig
@@ -35,12 +35,10 @@ def run_ablation(num_jobs: int = 50, seed: int = 2017):
     rows = []
     results = {}
     for label, policy in VARIANTS.items():
-        pair = run_paired(
-            fs_workload(num_jobs, seed=seed),
-            cluster,
-            runtime_config=RuntimeConfig(),
-            slurm_config=SlurmConfig(policy=policy),
+        session = Session(
+            cluster=cluster, slurm=SlurmConfig(policy=policy), runtime=RuntimeConfig()
         )
+        pair = session.run_paired(fs_workload(num_jobs, seed=seed))
         rows.append(
             [
                 label,

@@ -1,10 +1,11 @@
 """Scheduler-scale benchmarks: the ``repro bench sched`` hot path.
 
 Replays a 2k-job synthetic Feitelson trace (and its SWF round trip)
-through a bare controller in both scheduler modes, timing the replay and
+through a bare controller and through the resort-per-pass oracle
+(``repro.testing.oracle.ResortController``), timing the replay and
 pinning the properties ``BENCH_sched.json`` advertises: identical
 schedules, and an incremental hot path that does at least 5x less
-comparison work than the legacy resort-per-pass scheduler.
+comparison work than the oracle.
 """
 
 from repro.sweep.bench import autosize_cluster, replay_sched_trace, speedup_of
@@ -27,7 +28,7 @@ def test_sched_replay_incremental(benchmark):
 
 
 def test_sched_replay_legacy(benchmark):
-    """Time the legacy resort-per-pass scheduler on the same trace."""
+    """Time the resort-per-pass oracle on the same trace."""
     result = benchmark.pedantic(
         lambda: replay_sched_trace(_TRACE, incremental=False),
         rounds=3,
@@ -39,6 +40,8 @@ def test_sched_replay_legacy(benchmark):
 def test_modes_agree_and_incremental_wins():
     incremental = replay_sched_trace(_TRACE, incremental=True)
     legacy = replay_sched_trace(_TRACE, incremental=False)
+    # The oracle ran: it keeps no pending index.
+    assert legacy["heap_pushes"] == 0 < incremental["heap_pushes"]
     # Behaviour-preserving: same schedule, pass for pass.
     assert incremental["makespan_s"] == legacy["makespan_s"]
     assert incremental["jobs_started"] == legacy["jobs_started"]

@@ -8,8 +8,8 @@ the conclusions are not seed artifacts.
 import numpy as np
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import marenostrum_preliminary, marenostrum_production
-from repro.experiments.common import run_paired
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.workload import fs_workload, realapp_workload
@@ -19,22 +19,16 @@ SEEDS = (2017, 7, 13, 42, 99)
 
 def run_sensitivity():
     fs_gains = []
+    fs_session = Session(cluster=marenostrum_preliminary(), runtime=RuntimeConfig())
     for seed in SEEDS:
-        pair = run_paired(
-            fs_workload(25, seed=seed),
-            marenostrum_preliminary(),
-            runtime_config=RuntimeConfig(),
-        )
+        pair = fs_session.run_paired(fs_workload(25, seed=seed))
         fs_gains.append(pair.makespan_gain)
 
     real_gains = []
     real_wait_gains = []
+    real_session = Session(cluster=marenostrum_production(), runtime=RuntimeConfig())
     for seed in SEEDS:
-        pair = run_paired(
-            realapp_workload(50, seed=seed),
-            marenostrum_production(),
-            runtime_config=RuntimeConfig(),
-        )
+        pair = real_session.run_paired(realapp_workload(50, seed=seed))
         real_gains.append(pair.makespan_gain)
         real_wait_gains.append(pair.wait_gain)
 

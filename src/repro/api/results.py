@@ -1,8 +1,9 @@
 """Result containers returned by the :class:`~repro.api.session.Session`.
 
-These used to live in ``repro.experiments.common``; they are the public
-currency of the execution API, so they moved behind the facade (the old
-import path still works).
+They are the public currency of the execution API: every
+:meth:`~repro.api.session.Session.run` returns a :class:`WorkloadResult`
+and every :meth:`~repro.api.session.Session.run_paired` a
+:class:`PairedComparison`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ and :mod:`repro.backend.subprocess_slurm` for the implementations, and
 from repro.backend.base import (
     AccountingRecord,
     BackendCapabilities,
-    BackendEvent,
     BackendSpec,
     ExecutionBackend,
     JobRequest,
@@ -29,7 +28,6 @@ from repro.backend.driver import run_workload
 __all__ = [
     "AccountingRecord",
     "BackendCapabilities",
-    "BackendEvent",
     "BackendSpec",
     "ExecutionBackend",
     "JobRequest",

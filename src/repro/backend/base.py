@@ -27,14 +27,12 @@ sim, wall-clock seconds for subprocess Slurm).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     ClassVar,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -111,16 +109,6 @@ class AccountingRecord:
     @property
     def is_terminal(self) -> bool:
         return self.state in TERMINAL_STATES
-
-
-@dataclass(frozen=True)
-class BackendEvent:
-    """A lifecycle notification delivered to backend subscribers."""
-
-    time: float
-    kind: str
-    job_id: str
-    data: Mapping[str, Any] = field(default_factory=dict)
 
 
 class ExecutionBackend(abc.ABC):
@@ -213,23 +201,6 @@ class ExecutionBackend(abc.ABC):
     #: Seconds between accounting polls inside :meth:`drain` (the
     #: poll-interval budget; subclasses tune it to their clock).
     poll_interval: float = 1.0
-
-    # -- events -------------------------------------------------------------
-    def subscribe(self, callback: Callable[[BackendEvent], None]) -> None:
-        """Deliver lifecycle events to ``callback`` as they are observed."""
-        self._subscribers().append(callback)
-
-    def _subscribers(self) -> List[Callable[[BackendEvent], None]]:
-        subs = getattr(self, "_event_subscribers", None)
-        if subs is None:
-            subs = []
-            self._event_subscribers = subs
-        return subs
-
-    def _emit(self, kind: str, job_id: str, **data: Any) -> None:
-        event = BackendEvent(time=self.now(), kind=kind, job_id=job_id, data=data)
-        for callback in self._subscribers():
-            callback(event)
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

@@ -20,7 +20,7 @@ Two things live here:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.backend.base import (
     AccountingRecord,
@@ -32,7 +32,7 @@ from repro.backend.base import (
 )
 from repro.core.actions import DecisionReason, ResizeAction, ResizeRequest
 from repro.errors import BackendError, SchedulerError
-from repro.metrics.trace import EventKind, TraceEvent
+from repro.metrics.trace import EventKind
 from repro.sim.process import Interrupt
 from repro.slurm.controller import SlurmConfig
 from repro.slurm.job import Job, JobClass, JobState
@@ -112,7 +112,6 @@ class SimBackend(ExecutionBackend):
         self._controller.launcher = self._launch
         self._jobs: Dict[str, Job] = {}
         self._durations: Dict[int, float] = {}
-        self._controller.trace.subscribe(self._bridge)
 
     # -- contract: clock ------------------------------------------------------
     def now(self) -> float:
@@ -269,22 +268,12 @@ class SimBackend(ExecutionBackend):
             )
         return out
 
-    # -- events ---------------------------------------------------------------
-    def _bridge(self, event: TraceEvent) -> None:
-        if event.job_id is None or str(event.job_id) not in self._jobs:
-            return
-        self._emit(event.kind.value, str(event.job_id), **event.data)
-
     def close(self) -> None:
         if self._sim.dispatch is not None:
             try:
                 self._controller.trace.unsubscribe(self._sim.dispatch)
             except ValueError:
                 pass
-        try:
-            self._controller.trace.unsubscribe(self._bridge)
-        except ValueError:
-            pass
 
     # -- construction ---------------------------------------------------------
     @classmethod

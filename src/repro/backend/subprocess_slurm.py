@@ -42,7 +42,7 @@ from repro.backend.base import (
     register_backend,
 )
 from repro.errors import BackendError
-from repro.slurm.job import TERMINAL_STATES, JobState
+from repro.slurm.job import JobState
 
 #: (option key, environment variable, default executable).
 _COMMANDS = (
@@ -115,7 +115,6 @@ class SubprocessSlurmBackend(ExecutionBackend):
             self._commands[key] = shlex.split(value)
         self._submitted: List[str] = []
         self._names: Dict[str, str] = {}
-        self._last_states: Dict[str, JobState] = {}
         self._cache: Optional[Tuple[float, Set[str], Dict[str, AccountingRecord]]] = None
 
     # -- clock ----------------------------------------------------------------
@@ -167,9 +166,7 @@ class SubprocessSlurmBackend(ExecutionBackend):
         job_id = out.splitlines()[-1].split(";")[0].strip()
         self._submitted.append(job_id)
         self._names[job_id] = request.name
-        self._last_states[job_id] = JobState.PENDING
         self._cache = None
-        self._emit("job_submit", job_id, name=request.name, nodes=request.num_nodes)
         return job_id
 
     def _known(self, job_id: str) -> None:
@@ -212,7 +209,6 @@ class SubprocessSlurmBackend(ExecutionBackend):
                 return {job_id: cached[job_id] for job_id in wanted if job_id in cached}
         records = self._sacct(list(self._submitted))
         self._cache = (self.now(), set(records), records)
-        self._note_transitions(records)
         return {job_id: records[job_id] for job_id in wanted if job_id in records}
 
     def _sacct(self, job_ids: List[str]) -> Dict[str, AccountingRecord]:
@@ -259,17 +255,6 @@ class SubprocessSlurmBackend(ExecutionBackend):
                     num_nodes=0,
                 )
         return records
-
-    def _note_transitions(self, records: Dict[str, AccountingRecord]) -> None:
-        for job_id, record in records.items():
-            last = self._last_states.get(job_id)
-            if record.state is last:
-                continue
-            self._last_states[job_id] = record.state
-            if record.state is JobState.RUNNING:
-                self._emit("job_start", job_id, nodes=record.num_nodes)
-            elif record.state in TERMINAL_STATES:
-                self._emit("job_end", job_id, state=record.state.value)
 
     # -- availability ---------------------------------------------------------
     @classmethod

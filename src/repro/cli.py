@@ -716,8 +716,9 @@ def _build_bench_sched_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench sched",
         description="Scheduler-scale bench: replay large synthetic "
-        "Feitelson/SWF traces through both scheduler modes; emits "
-        "BENCH_sched.json with pass counts, wall-clock and the "
+        "Feitelson/SWF traces through the scheduler and, as the legacy "
+        "rows, through the resort-per-pass oracle in repro.testing; "
+        "emits BENCH_sched.json with pass counts, wall-clock and the "
         "incremental-vs-legacy comparison-work ratio.",
     )
     parser.add_argument("--quick", action="store_true",
@@ -729,10 +730,11 @@ def _build_bench_sched_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="trace seed (default 2017)")
     parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-scheduler replays")
+                        help="skip the legacy (resort-per-pass oracle) "
+                        "replays")
     parser.add_argument("--legacy-cap", type=int, default=None, metavar="N",
-                        help="largest trace replayed with the legacy "
-                        "scheduler (default 20000)")
+                        help="largest trace replayed with the "
+                        "resort-per-pass oracle (default 20000)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output path (default BENCH_sched.json)")
     parser.add_argument("--check", action="store_true",

@@ -4,17 +4,3 @@ Each driver runs its workloads through :class:`repro.api.Session` and
 registers its artifacts with :func:`repro.api.artifact`; the CLI serves
 them from that registry.
 """
-
-from repro.experiments.common import (
-    PairedComparison,
-    WorkloadResult,
-    run_paired,
-    run_workload,
-)
-
-__all__ = [
-    "PairedComparison",
-    "WorkloadResult",
-    "run_paired",
-    "run_workload",
-]

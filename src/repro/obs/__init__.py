@@ -32,7 +32,6 @@ from repro.obs.registry import (
     default_registry,
     observe_all,
     parse_prometheus,
-    publish_event_counts,
     publish_sched_stats,
     publish_store_stats,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "export_perfetto",
     "observe_all",
     "parse_prometheus",
-    "publish_event_counts",
     "publish_sched_stats",
     "publish_store_stats",
     "spans_from_trace",

@@ -14,13 +14,12 @@ surface is built for the repo's two consumption paths:
   an operation and assert on :meth:`MetricsRegistry.diff`.
 
 Hot paths (the scheduler inner loop) never talk to the registry per
-operation; they keep their plain-int tallies (``SchedStats``,
-``EventCounter``, store hit/miss counts) and *publish* them through the
-``publish_*`` bridges below — either once per run or lazily from a
-collector callback at scrape time.
+operation; they keep their plain-int tallies (``SchedStats``, store
+hit/miss counts) and *publish* them through the ``publish_*`` bridges
+below — either once per run or lazily from a collector callback at
+scrape time.
 
-:class:`LatencyHistogram` lives here now (it started as
-``repro.metrics.histogram``, which remains as a compatibility shim):
+:class:`LatencyHistogram` lives here (it started in ``repro.metrics``):
 the registry is its primary consumer and ``repro.obs`` must not import
 from ``repro.metrics``.
 """
@@ -188,21 +187,13 @@ class LatencyHistogram:
             "p50_ms": 1000.0 * self.quantile(0.50),
             "p99_ms": 1000.0 * self.quantile(0.99),
             "bucket_bounds_s": list(self.bounds),
-            "bucket_bounds_ms": [1000.0 * b for b in self.bounds],
             "bucket_counts": list(self.counts),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`as_dict` output (lossless).
-
-        Accepts older payloads that only carried ``bucket_bounds_ms``
-        (reconstructed with a /1000 scale, which may cost one ulp).
-        """
-        bounds = data.get("bucket_bounds_s")
-        if bounds is None:
-            bounds = [float(b) / 1000.0 for b in data["bucket_bounds_ms"]]
-        bounds = tuple(float(b) for b in bounds)
+        """Rebuild a histogram from :meth:`as_dict` output (lossless)."""
+        bounds = tuple(float(b) for b in data["bucket_bounds_s"])
         if not bounds or any(
             b <= 0 or (i and b <= bounds[i - 1]) for i, b in enumerate(bounds)
         ):
@@ -220,10 +211,7 @@ class LatencyHistogram:
         hist.counts = counts
         hist.count = count
         hist.total = float(data["sum_s"])
-        min_s = data.get("min_s", data.get("min_ms"))
-        max_s = data.get("max_s", data.get("max_ms"))
-        if "min_s" not in data and min_s is not None:
-            min_s, max_s = float(min_s) / 1000.0, float(max_s) / 1000.0
+        min_s, max_s = data["min_s"], data["max_s"]
         if count == 0:
             min_s = max_s = None
         hist.min = None if min_s is None else float(min_s)
@@ -596,19 +584,6 @@ def publish_sched_stats(registry: MetricsRegistry,
         value = snapshot.get(op)
         if value:
             ops.inc(value, op=op)
-
-
-def publish_event_counts(registry: MetricsRegistry,
-                         counts: Mapping[str, int]) -> None:
-    """Fold an ``EventCounter.as_dict()`` into the registry."""
-    events = registry.counter(
-        "repro_session_events_total",
-        "Simulation trace events observed by sessions, by hook.",
-        labels=("hook",),
-    )
-    for hook, value in counts.items():
-        if value:
-            events.inc(value, hook=hook)
 
 
 def publish_store_stats(registry: MetricsRegistry,

@@ -77,14 +77,6 @@ class SlurmConfig:
     #: behaviour; off by default here because the paper's workloads are
     #: well-behaved and malleable jobs rescale their limits on resize).
     enforce_time_limits: bool = False
-    #: Use the sorted pending index (read in place by the FIFO pass, the
-    #: backfill pass and the Algorithm 1 policy view) and the running-jobs
-    #: expected-end index, so a pass costs O(k log n) in the k jobs it
-    #: examines, instead of the legacy re-sort-everything-per-pass path.
-    #: Both produce byte-identical schedules (pinned by the golden-trace
-    #: suite); the flag exists so benches and the golden tests can run
-    #: the legacy scheduler for comparison.
-    incremental_queue: bool = True
     #: Keep finished :class:`Job` records (and their start events) after
     #: completion.  Experiments need the archive for post-hoc metrics;
     #: million-job replays turn it off so controller memory stays
@@ -125,12 +117,9 @@ class SlurmController:
         #: by ``Session.build`` when telemetry is enabled; None keeps
         #: the scheduling hot path free of any recording cost.
         self.telemetry = None
-        #: Incremental priority queue (None in legacy resort-per-pass mode).
-        self.queue: Optional[PendingQueue] = (
-            PendingQueue(self.priority_engine, self.stats)
-            if self.config.incremental_queue
-            else None
-        )
+        #: Pending jobs in scheduling order, read in place by the FIFO
+        #: pass, the backfill pass and the Algorithm 1 policy view.
+        self.queue = PendingQueue(self.priority_engine, self.stats)
         # Running jobs ordered by (expected_end, start order) — the
         # accounting plan_backfill's shadow computation needs, maintained
         # incrementally on start/finish/resize instead of re-sorted per
@@ -173,19 +162,10 @@ class SlurmController:
     # -- queue introspection -------------------------------------------------
     def pending_jobs(self, include_resizers: bool = True) -> List[Job]:
         """Pending queue in multifactor priority order."""
-        if self.queue is not None:
-            jobs = self.queue.ordered(self.env.now)
-            if include_resizers:
-                return jobs
-            return [j for j in jobs if not j.is_resizer]
-        jobs = [
-            j
-            for j in self.pending.values()
-            if include_resizers or not j.is_resizer
-        ]
-        # Legacy path: every ordered view recomputes one priority per job.
-        self.stats.key_evals += len(jobs)
-        return self.priority_engine.sort_queue(jobs, self.env.now)
+        jobs = self.queue.ordered(self.env.now)
+        if include_resizers:
+            return jobs
+        return [j for j in jobs if not j.is_resizer]
 
     # -- running-jobs expected-end index -------------------------------------
     def _running_insert(self, job: Job) -> None:
@@ -213,8 +193,8 @@ class SlurmController:
         del self._end_keys[i]
         del self._end_jobs[i]
         # Keep the original start sequence so ties among equal expected
-        # ends resolve in start order, exactly like the legacy stable sort
-        # over the running dict.
+        # ends resolve in start order, exactly like a stable sort over
+        # the running dict.
         new_key = (job.expected_end, key[1])
         self.stats.running_end_evals += 1
         i = bisect_left(self._end_keys, new_key)
@@ -246,8 +226,7 @@ class SlurmController:
         job.job_id = next(self._ids)
         job.submit_time = self.env.now
         self.pending[job.job_id] = job
-        if self.queue is not None:
-            self.queue.add(job, self.env.now)
+        self.queue.add(job, self.env.now)
         self._start_events[job.job_id] = Event(self.env)
         self.trace.record(
             self.env.now,
@@ -306,8 +285,7 @@ class SlurmController:
         """Cancel a pending or running job (releases any held nodes)."""
         if job.job_id in self.pending:
             del self.pending[job.job_id]
-            if self.queue is not None:
-                self.queue.discard(job)
+            self.queue.discard(job)
             job.transition(JobState.CANCELLED)
             job.end_time = self.env.now
             self._archive(job)
@@ -368,18 +346,13 @@ class SlurmController:
         priority jobs only jump the queue during the periodic backfill
         thread's pass (:meth:`_backfill_pass`).
 
-        Incremental mode walks the queue's live order in place: it steps
-        past dependency-blocked jobs without touching them, and a start
+        The pass walks the queue's live order in place: it steps past
+        dependency-blocked jobs without touching them, and a start
         removes the job from the order, so the next candidate sits at the
         same index.  The pass costs O(k log n) in the k jobs it examines
-        and writes nothing when the head does not fit.  Legacy mode
-        re-sorts the whole queue, as the original controller did; both
-        produce the same starts in the same order.
+        and writes nothing when the head does not fit.
         """
         self._pass_scheduled = False
-        if self.queue is None:
-            self._scheduling_pass_legacy()
-            return
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
         free = self.machine.free_count
         examined = started = 0
@@ -399,24 +372,6 @@ class SlurmController:
                     break  # strict order: the blocked head stops the pass
                 # Leave the queue under the size it was indexed with.
                 self.queue.discard(job)
-                job.num_nodes = fitted
-            self._start_job(job)
-            started += 1
-            free -= job.num_nodes
-        self._note_pass("fifo", examined, started, wall_t0)
-
-    def _scheduling_pass_legacy(self) -> None:
-        wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        free = self.machine.free_count
-        examined = started = 0
-        for job in self.pending_jobs():
-            examined += 1
-            if not self._dependency_satisfied(job):
-                continue
-            if job.num_nodes > free:
-                fitted = self._moldable_fit(job, free)
-                if fitted is None:
-                    break
                 job.num_nodes = fitted
             self._start_job(job)
             started += 1
@@ -486,10 +441,7 @@ class SlurmController:
     def _backfill_pass(self) -> None:
         """Periodic EASY pass over the first ``BF_MAX_JOB_TEST``
         dependency-satisfied jobs, read from the live order in place
-        (blocked ones are skipped, like the legacy full-queue filter)."""
-        if self.queue is None:
-            self._backfill_pass_legacy()
-            return
+        (blocked ones are skipped)."""
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
         eligible: List[Job] = []
         examined = 0
@@ -511,34 +463,13 @@ class SlurmController:
             self._start_job(job)
         self._note_pass("backfill", examined, len(starts), wall_t0)
 
-    def _backfill_pass_legacy(self) -> None:
-        wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        pending = self.pending_jobs()
-        eligible = [j for j in pending if self._dependency_satisfied(j)]
-        running = self.running_jobs()
-        starts, reservation = plan_backfill(
-            eligible,
-            running,
-            self.machine.free_count,
-            self.env.now,
-            unreturnable=self.machine.held_unreturnable,
-        )
-        if reservation is not None:
-            # compute_shadow sorted every running job (plus this pass's
-            # picks) by expected end.
-            self.stats.running_end_evals += len(running) + len(starts)
-        for job in starts:
-            self._start_job(job)
-        self._note_pass("backfill", len(pending), len(starts), wall_t0)
-
     def _start_job(self, job: Job) -> None:
         nodes = self.machine.allocate(job.job_id, job.num_nodes)
         job.nodes = nodes
         job.transition(JobState.RUNNING)
         job.start_time = self.env.now
         del self.pending[job.job_id]
-        if self.queue is not None:
-            self.queue.discard(job)
+        self.queue.discard(job)
         self.running[job.job_id] = job
         self._running_insert(job)
         self.trace.record(
@@ -574,16 +505,11 @@ class SlurmController:
     # -- reconfiguration policy entry (used by the DMR API) --------------------
     def policy_view(self) -> PolicyView:
         """Snapshot of the scheduler state for a reconfiguration decision."""
-        queue = self.queue
         return PolicyView(
             free_nodes=self.machine.free_count,
-            pending=(
-                tuple(self.pending_jobs(include_resizers=False))
-                if queue is None else queue.policy_snapshot(self.env.now)
-            ),
+            pending=self.queue.policy_snapshot(self.env.now),
             running_count=len(self.running),
-            # Legacy mode leaves it to PolicyView to derive from pending.
-            min_pending_nodes=None if queue is None else queue.min_pending_nodes,
+            min_pending_nodes=self.queue.min_pending_nodes,
         )
 
     def check_status(
@@ -621,8 +547,7 @@ class SlurmController:
             beneficiary = self.pending.get(decision.beneficiary_job_id)
             if beneficiary is not None:
                 beneficiary.priority_boost = float("inf")
-                if self.queue is not None:
-                    self.queue.reprioritize(beneficiary, self.env.now)
+                self.queue.reprioritize(beneficiary, self.env.now)
         return decision
 
     def _effective_request(self, job: Job, request: ResizeRequest) -> ResizeRequest:
@@ -911,8 +836,7 @@ class SlurmController:
             if callable(fresh):
                 job.payload = fresh()
         self.pending[job.job_id] = job
-        if self.queue is not None:
-            self.queue.add(job, self.env.now)
+        self.queue.add(job, self.env.now)
         self._start_events[job.job_id] = Event(self.env)
         self.trace.record(
             self.env.now,

@@ -3,9 +3,11 @@
 The original controller re-sorted the whole pending queue with freshly
 computed multifactor priorities on *every* scheduling pass, making the
 full trace O(n^2) — fine for the paper's 10-400 job workloads, hopeless
-for 50k-job SWF replays.  :class:`PendingQueue` keeps a pair of parallel
-lists sorted by :meth:`~repro.slurm.priority.MultifactorPriority.sort_key`
-with :mod:`bisect`, the idiom of the controller's expected-end index.
+for 50k-job SWF replays (it survives only as the test oracle
+:class:`repro.testing.oracle.ResortController`).  :class:`PendingQueue`
+keeps a pair of parallel lists sorted by
+:meth:`~repro.slurm.priority.MultifactorPriority.sort_key` with
+:mod:`bisect`, the idiom of the controller's expected-end index.
 The key is *time-invariant* while every entry's age factor is below
 saturation, so a job is keyed once, at submission.
 
@@ -22,11 +24,11 @@ default) breaks the time-invariance: a saturated job's priority stops
 growing while younger jobs keep catching up.  The queue watches the
 earliest saturation deadline and, once crossed, degrades to re-keying and
 re-sorting the same lists in place per distinct timestamp — exactly the
-legacy cost, only for queues that have had jobs pending for a week.
+re-sorting cost, only for queues that have had jobs pending for a week.
 
-:class:`SchedStats` counts the work both scheduler modes perform; the
-``repro bench sched`` harness reads it to prove the incremental path
-does asymptotically less work than the legacy resort-per-pass path.
+:class:`SchedStats` counts the scheduler's work; ``repro bench sched``
+reads it from the controller and from the resort-per-pass oracle to
+prove the sorted index does asymptotically less work.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class SchedStats:
     ``key_evals`` (multifactor priority-key computations) plus
     ``running_end_evals`` (expected-end keys computed for backfill's
     shadow ordering) make up the bench's "comparisons" metric: they are
-    the per-job work the legacy scheduler redoes on every pass and the
-    incremental scheduler performs once per queue update.
+    the per-job work the resort-per-pass oracle redoes on every pass and
+    the controller performs once per queue update.
 
     ``heap_pushes`` and ``heap_pops`` keep their historical names but
     count pending-index inserts (submit, requeue, re-key) and removals

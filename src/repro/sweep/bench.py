@@ -8,10 +8,11 @@ Two verbs share this module:
   per-metric simulated-result statistics with 95% confidence bands.
 * ``repro bench sched`` — the scheduler-scale benchmark: replays large
   synthetic Feitelson traces (and their SWF round trip) through a bare
-  :class:`~repro.slurm.controller.SlurmController` in both scheduler
-  modes and emits ``BENCH_sched.json`` with pass counts, wall-clock and
-  the comparison-work ratio of the incremental hot path over the legacy
-  resort-per-pass one.
+  :class:`~repro.slurm.controller.SlurmController` and, as the
+  ``legacy`` rows, through the resort-per-pass oracle
+  :class:`~repro.testing.oracle.ResortController`; emits
+  ``BENCH_sched.json`` with pass counts, wall-clock and the
+  comparison-work ratio of the two.
 
 ``--quick`` shrinks either bench for CI smoke runs.
 """
@@ -41,7 +42,7 @@ SCHED_BENCH_PATH = "BENCH_sched.json"
 SCHED_SIZES = (5000, 20000, 50000)
 SCHED_QUICK_SIZES = (2000,)
 #: Legacy (O(n^2)) replays are capped by default: at 50k jobs the
-#: resort-per-pass scheduler is exactly what this bench exists to retire.
+#: resort-per-pass oracle takes minutes per row.
 SCHED_LEGACY_CAP = 20000
 #: Replays at or above this many jobs run *lean*: a non-retaining trace
 #: and ``retain_finished=False``, so memory tracks the live jobs instead
@@ -130,7 +131,10 @@ def replay_sched_trace(
     Jobs are rigid and carry no application payload: a started job simply
     occupies its nodes for its trace runtime, so the measurement isolates
     the scheduler hot path (queue maintenance, FIFO passes, EASY
-    backfill) from the runtime/DMR machinery.
+    backfill) from the runtime/DMR machinery.  ``incremental=False``
+    replays through the resort-per-pass oracle
+    (:class:`~repro.testing.oracle.ResortController`) instead of the
+    production controller.
 
     ``lean=True`` replays with a non-retaining trace and without the
     finished-job archive (:attr:`SlurmConfig.retain_finished` off), so a
@@ -147,16 +151,17 @@ def replay_sched_trace(
     from repro.sim.engine import Environment
     from repro.slurm.controller import SlurmConfig, SlurmController
     from repro.slurm.job import Job
+    from repro.testing.oracle import ResortController
 
     if num_nodes is None:
         num_nodes = autosize_cluster(trace)
     env = Environment()
     machine = Machine(num_nodes)
-    controller = SlurmController(
+    controller_class = SlurmController if incremental else ResortController
+    controller = controller_class(
         env,
         machine,
         SlurmConfig(
-            incremental_queue=incremental,
             backfill_interval=backfill_interval,
             retain_finished=not lean,
         ),
@@ -257,8 +262,8 @@ def run_sched_bench(
     """Run the scheduler-scale bench; returns the BENCH_sched.json payload.
 
     For every trace size: replay with the incremental scheduler, replay
-    with the legacy resort-per-pass scheduler (up to ``legacy_cap``
-    jobs), and record the comparison-work and wall-clock ratios.  The
+    with the resort-per-pass oracle (up to ``legacy_cap`` jobs), and
+    record the comparison-work and wall-clock ratios.  The
     smallest size is additionally replayed from an SWF round trip of the
     trace, covering the real-log import path.  Sizes at or above
     ``SCHED_LEAN_MIN`` replay lean (flat memory, see
@@ -293,7 +298,7 @@ def run_sched_bench(
             say(f"diagnostics of the {size}-job replay written to {path}")
         entry: Dict[str, object] = {"incremental": incremental}
         if legacy and size <= legacy_cap:
-            say(f"replaying {size}-job trace (legacy scheduler)")
+            say(f"replaying {size}-job trace (resort-per-pass oracle)")
             entry["legacy"] = replay_in_child(size, seed, incremental=False)
             entry["speedup"] = speedup_of(entry["legacy"], entry["incremental"])
         traces[str(size)] = entry

@@ -7,6 +7,8 @@
   :class:`~repro.errors.InvariantViolation` at the breaking event.
 * :func:`run_bounded` — ``env.run`` with an event budget, so a wedged
   process fails the test instead of hanging CI.
+* :class:`ResortController` — the resort-per-pass scheduler, kept as the
+  oracle the production controller's sorted indexes are diffed against.
 * :mod:`repro.testing.pytest_plugin` — loaded from the repo's root
   conftest; wires an InvariantObserver into every ``Session.build`` of
   the suite (opt out with ``@pytest.mark.no_invariants``).
@@ -15,11 +17,13 @@
 from repro.errors import InvariantViolation
 from repro.testing.bounded import DEFAULT_MAX_EVENTS, WedgedSimulation, run_bounded
 from repro.testing.invariants import InvariantObserver
+from repro.testing.oracle import ResortController
 
 __all__ = [
     "DEFAULT_MAX_EVENTS",
     "InvariantObserver",
     "InvariantViolation",
+    "ResortController",
     "WedgedSimulation",
     "run_bounded",
 ]

@@ -127,16 +127,6 @@ class TestDrain:
         # The clock advanced past the deadline, in poll_interval steps.
         assert backend.now() >= 5.0
 
-    def test_event_subscription(self):
-        backend = _StuckBackend()
-        seen = []
-        backend.subscribe(seen.append)
-        backend._emit("job_submit", "1", nodes=2)
-        assert len(seen) == 1
-        assert seen[0].kind == "job_submit"
-        assert seen[0].job_id == "1"
-        assert seen[0].data == {"nodes": 2}
-
 
 class TestAccountingRecord:
     def test_terminal_flag(self):

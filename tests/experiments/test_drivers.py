@@ -7,14 +7,14 @@ rendering — on reduced workloads so they stay fast.
 
 import pytest
 
+from repro.api import Session
 from repro.cluster import ClusterConfig
-from repro.experiments.common import run_paired, run_workload
 from repro.experiments.fig01_cr_vs_dmr import run_fig01
 from repro.experiments.fig03_sync import run_fig03
 from repro.experiments.fig04_05_evolution import run_evolution
 from repro.experiments.fig08_heterogeneous import run_fig08
 from repro.experiments.fig09_inhibitor import run_fig09
-from repro.errors import ReproError
+from repro.errors import SimulationTimeout
 from repro.workload import FSWorkloadConfig, fs_workload
 
 
@@ -24,21 +24,24 @@ SMALL_FS = FSWorkloadConfig(steps=4)
 class TestCommon:
     def test_run_workload_rejects_unfinished(self):
         spec = fs_workload(5, seed=1, config=SMALL_FS)
-        with pytest.raises(ReproError, match="did not finish"):
-            run_workload(spec, ClusterConfig(num_nodes=20), flexible=False,
-                         max_sim_time=1.0)
+        with pytest.raises(SimulationTimeout, match="did not finish"):
+            Session(cluster=ClusterConfig(num_nodes=20)).run(
+                spec, flexible=False, max_sim_time=1.0
+            )
 
     def test_paired_comparison_gains(self):
-        pair = run_paired(fs_workload(6, seed=1, config=SMALL_FS),
-                          ClusterConfig(num_nodes=20))
+        pair = Session(cluster=ClusterConfig(num_nodes=20)).run_paired(
+            fs_workload(6, seed=1, config=SMALL_FS)
+        )
         assert pair.makespan_gain == pytest.approx(
             100.0 * (pair.fixed.makespan - pair.flexible.makespan)
             / pair.fixed.makespan
         )
 
     def test_result_series_accessors(self):
-        result = run_workload(fs_workload(4, seed=1, config=SMALL_FS),
-                              ClusterConfig(num_nodes=20), flexible=True)
+        result = Session(cluster=ClusterConfig(num_nodes=20)).run(
+            fs_workload(4, seed=1, config=SMALL_FS), flexible=True
+        )
         assert result.allocation_series().values[-1] == 0
         assert result.completed_series().values[-1] == 4
         assert result.running_series().at(result.trace.last_time() + 1) == 0

@@ -5,33 +5,7 @@ import random
 
 import pytest
 
-from repro.metrics import LatencyHistogram
-from repro.metrics.histogram import observe_all
-
-
-class TestShim:
-    """repro.metrics.histogram is a pure re-export of repro.obs.registry."""
-
-    def test_same_class_object_via_both_paths(self):
-        import repro.metrics.histogram as shim
-        import repro.obs.registry as registry
-
-        assert shim.LatencyHistogram is registry.LatencyHistogram
-        assert shim.observe_all is registry.observe_all
-        assert shim.DEFAULT_BUCKETS == registry.DEFAULT_BUCKETS
-        assert shim.DEFAULT_FIRST_BOUND == registry.DEFAULT_FIRST_BOUND
-        assert shim.DEFAULT_GROWTH == registry.DEFAULT_GROWTH
-
-    def test_shim_reexports_exactly_its_all(self):
-        import repro.metrics.histogram as shim
-
-        for name in shim.__all__:
-            assert getattr(shim, name) is not None
-
-    def test_deprecation_note_present(self):
-        import repro.metrics.histogram as shim
-
-        assert "deprecated" in (shim.__doc__ or "").lower()
+from repro.obs.registry import LatencyHistogram, observe_all
 
 
 class TestObserve:
@@ -125,5 +99,5 @@ class TestMergeAndSerialize:
         assert data["count"] == 3
         assert data["p50_ms"] > 0
         assert data["p99_ms"] >= data["p50_ms"]
-        assert len(data["bucket_counts"]) == len(data["bucket_bounds_ms"]) + 1
+        assert len(data["bucket_counts"]) == len(data["bucket_bounds_s"]) + 1
         assert sum(data["bucket_counts"]) == 3

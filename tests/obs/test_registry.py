@@ -13,7 +13,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     default_registry,
     parse_prometheus,
-    publish_event_counts,
     publish_sched_stats,
     publish_store_stats,
 )
@@ -155,13 +154,6 @@ class TestPublishBridges:
         assert snap['repro_sched_ops_total{op="key_evals"}'] == 10.0
         assert not any("irrelevant" in key for key in snap)
 
-    def test_publish_event_counts(self):
-        registry = MetricsRegistry()
-        publish_event_counts(registry, {"on_job_end": 4, "on_resize": 0})
-        snap = registry.snapshot()
-        assert snap['repro_session_events_total{hook="on_job_end"}'] == 4.0
-        assert 'repro_session_events_total{hook="on_resize"}' not in snap
-
     def test_publish_store_stats_uses_deltas(self):
         registry = MetricsRegistry()
         publish_store_stats(
@@ -251,16 +243,3 @@ class TestHistogramProperties:
         broken["bucket_bounds_s"] = [0.0] + list(data["bucket_bounds_s"])[1:]
         with pytest.raises(ValueError):
             LatencyHistogram.from_dict(broken)
-
-    def test_legacy_ms_only_payloads_still_load(self):
-        hist = LatencyHistogram()
-        hist.observe(0.05)
-        data = hist.as_dict()
-        legacy = {
-            key: value for key, value in data.items()
-            if key not in ("bucket_bounds_s", "min_s", "max_s", "sum_s")
-        }
-        legacy["sum_s"] = data["sum_s"]
-        back = LatencyHistogram.from_dict(legacy)
-        assert back.count == 1
-        assert back.min == pytest.approx(0.05)

@@ -8,8 +8,8 @@ silently re-inflating ``repro bench sched``.
 Budget philosophy: the numbers are *floors with large headroom*, not the
 measured values — dev hardware does ~66k events/sec and ~0.85
 comparisons per pass at these sizes; the budgets admit a ~4x slower CI
-box but not an algorithmic regression (the legacy resort-per-pass
-scheduler blows the comparison budget by ~70x).
+box but not an algorithmic regression (the resort-per-pass oracle in
+``repro.testing`` blows the comparison budget by ~70x).
 
 The million-job run is ``slow`` (minutes): opt in with ``--run-slow`` or
 ``REPRO_RUN_SLOW=1``.
@@ -27,8 +27,8 @@ SEED = 2017
 #: Conservative floor: dev hardware sustains ~66k events/sec.
 MIN_EVENTS_PER_SEC = 15_000
 #: The incremental queue computes ~2 keys/job over ~2.4 passes/job
-#: (≈0.85 comparisons/pass); legacy mode re-keys the whole queue every
-#: pass (hundreds per pass at these sizes).
+#: (≈0.85 comparisons/pass); the resort-per-pass oracle re-keys the
+#: whole queue every pass (hundreds per pass at these sizes).
 MAX_COMPARISONS_PER_PASS = 1.5
 #: Peak-RSS ceilings in MiB (interpreter + numpy baseline is ~45 MiB;
 #: ru_maxrss is a process-lifetime high-water mark, so these also bound

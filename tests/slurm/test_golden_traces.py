@@ -11,10 +11,12 @@ work on the scheduling hot path is provably behaviour-preserving:
 * ``table2`` — paired real-application workloads (25/50 jobs).
 
 The committed files under ``goldens/`` were captured from the
-pre-refactor (re-sort-every-pass) scheduler after PR 4's correctness
-fixes; ``test_incremental_matches_legacy_*`` additionally re-derives the
-legacy order live, so the equivalence proof does not age as the seeds
-move.  Regenerate after an *intentional* behaviour change with::
+re-sort-every-pass scheduler once its correctness fixes had landed;
+``test_incremental_matches_legacy_*`` additionally re-derives that
+schedule live with the resort-per-pass oracle
+(:class:`repro.testing.oracle.ResortController`), so the equivalence
+proof does not age as the seeds move.  Regenerate after an *intentional*
+behaviour change with::
 
     PYTHONPATH=src python tests/slurm/test_golden_traces.py --regen
 """
@@ -26,8 +28,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import Session
+import repro.slurm.controller
+from repro.api import Session, SessionObserver
 from repro.metrics.trace import canonical_lines, text_digest
+from repro.testing.oracle import ResortController
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -141,24 +145,46 @@ def test_table2_golden_unchanged_with_telemetry():
     _assert_matches("table2", table2_golden_lines(session))
 
 
-# -- legacy-vs-incremental live equivalence -----------------------------------
+# -- oracle-vs-incremental live equivalence -----------------------------------
 #
 # The golden files pin today's behaviour; these tests re-derive the
-# legacy (re-sort-every-pass) schedule live and diff the full tuple
-# stream, so the incremental scheduler's equivalence proof does not age.
+# re-sort-every-pass schedule live with the oracle and diff the full
+# tuple stream, so the incremental scheduler's equivalence proof does not
+# age.  ``assemble()`` looks ``SlurmController`` up at call time, so
+# patching the module attribute swaps the oracle into every build.
 
-def _legacy_session() -> Session:
-    from repro.slurm import SlurmConfig
+class _Controllers(SessionObserver):
+    """Keeps every controller a session builds."""
 
-    return Session().with_slurm(SlurmConfig(incremental_queue=False))
+    def __init__(self) -> None:
+        self.built = []
+
+    def on_attach(self, controller) -> None:
+        self.built.append(controller)
 
 
-def test_incremental_matches_legacy_fig3():
-    assert fig3_golden_lines() == fig3_golden_lines(_legacy_session())
+def _oracle_lines(monkeypatch, golden_lines) -> List[str]:
+    controllers = _Controllers()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            repro.slurm.controller, "SlurmController", ResortController
+        )
+        lines = golden_lines(Session().observe(controllers))
+    # A patch that missed would diff the scheduler against itself; only
+    # the production controller writes a pending index.
+    assert {type(ctl) for ctl in controllers.built} == {ResortController}
+    assert all(ctl.stats.heap_pushes == 0 for ctl in controllers.built)
+    return lines
 
 
-def test_incremental_matches_legacy_table2():
-    assert table2_golden_lines() == table2_golden_lines(_legacy_session())
+def test_incremental_matches_legacy_fig3(monkeypatch):
+    legacy = _oracle_lines(monkeypatch, fig3_golden_lines)
+    assert fig3_golden_lines() == legacy
+
+
+def test_incremental_matches_legacy_table2(monkeypatch):
+    legacy = _oracle_lines(monkeypatch, table2_golden_lines)
+    assert table2_golden_lines() == legacy
 
 
 # -- regeneration entry point -------------------------------------------------

@@ -146,9 +146,10 @@ class TestPolicyProperties:
 # legacy resort-per-pass one on three pinned golden traces.  The suite
 # below fuzzes that equivalence proof: random job traces — sizes, limits,
 # moldable flags, mid-run cancels, node failures with repairs — are
-# replayed through both scheduler modes, and the *entire canonical trace*
-# (every start, backfill pick, requeue, resize decision and allocation
-# change, in order) must match exactly.  Every replay also runs under the
+# replayed through the controller and through the resort-per-pass oracle
+# (``repro.testing.oracle.ResortController``), and the *entire canonical
+# trace* (every start, backfill pick, requeue, resize decision and
+# allocation change, in order) must match exactly.  Every replay also runs under the
 # InvariantObserver, so the fuzz doubles as an invariant hunt.
 #
 # Flexible jobs put Algorithm 1 in the loop: their replay calls
@@ -168,6 +169,7 @@ from repro.slurm import MultifactorConfig, SlurmConfig, SlurmController
 from repro.slurm.job import JobClass
 from repro.slurm.resize import expand_protocol
 from repro.testing import InvariantObserver, run_bounded
+from repro.testing.oracle import ResortController
 
 DIFF_NODES = 12
 DIFF_HORIZON = 100_000.0
@@ -227,17 +229,16 @@ max_age_strategy = st.one_of(st.none(), st.floats(20.0, 600.0))
 def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
                          incremental: bool,
                          max_age: Optional[float] = None) -> SlurmController:
-    """Replay a fuzzed trace through one scheduler mode."""
+    """Replay a fuzzed trace through the controller or, with
+    ``incremental=False``, through the resort-per-pass oracle."""
     env = Environment()
     machine = Machine(DIFF_NODES)
     priority = (
         MultifactorConfig() if max_age is None
         else MultifactorConfig(max_age=max_age)
     )
-    ctl = SlurmController(
-        env, machine,
-        SlurmConfig(incremental_queue=incremental, priority=priority),
-    )
+    controller_class = SlurmController if incremental else ResortController
+    ctl = controller_class(env, machine, SlurmConfig(priority=priority))
     observer = InvariantObserver(controller=ctl)
     ctl.trace.subscribe(observer.on_event)
     specs = {}
@@ -365,10 +366,15 @@ def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
 
 
 def _assert_modes_agree(jobs, faults, max_age=None) -> SlurmController:
-    """Both scheduler modes emit the same canonical trace; returns the
-    incremental controller."""
+    """The controller and the oracle emit the same canonical trace;
+    returns the controller."""
     legacy = _replay_differential(jobs, faults, False, max_age)
     incremental = _replay_differential(jobs, faults, True, max_age)
+    # An oracle that is really the controller would compare it with
+    # itself; only the controller writes a pending index.
+    assert type(legacy) is ResortController
+    assert type(incremental) is SlurmController
+    assert legacy.stats.heap_pushes == 0 < incremental.stats.heap_pushes
     assert canonical_lines(legacy.trace) == canonical_lines(incremental.trace)
     return incremental
 

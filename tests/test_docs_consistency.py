@@ -4,10 +4,47 @@ DESIGN.md promises a module and a bench target for every experiment;
 these tests keep the promises true as the code evolves.
 """
 
+import importlib
 import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: Dotted names such as ``repro.obs`` or ``repro.api.Session``.
+DOTTED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolve(dotted: str) -> object:
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_dotted_repro_names_in_docs_resolve():
+    """No doc names a module, class or function that no longer exists."""
+    unresolved = []
+    names_checked = 0
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        names = set(DOTTED_NAME.findall((REPO / doc).read_text()))
+        names_checked += len(names)
+        for name in sorted(names):
+            try:
+                _resolve(name)
+            except (ImportError, AttributeError):
+                unresolved.append(f"{doc}: {name}")
+    assert names_checked, "the docs name no repro.* modules?"
+    assert not unresolved, unresolved
 
 
 def test_design_md_bench_targets_exist():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.cluster import ClusterConfig, marenostrum_preliminary
-from repro.experiments.common import run_workload
 from repro.metrics import EventKind, allocated_nodes_series
 from repro.runtime import RuntimeConfig
 from repro.slurm import Accounting, JobState
@@ -43,12 +43,8 @@ def check_invariants(result, num_nodes):
 
 @pytest.mark.parametrize("flexible", [False, True])
 def test_fs_workload_invariants(flexible):
-    result = run_workload(
-        fs_workload(30, seed=5),
-        marenostrum_preliminary(),
-        flexible=flexible,
-        runtime_config=RuntimeConfig(),
-    )
+    session = Session(cluster=marenostrum_preliminary(), runtime=RuntimeConfig())
+    result = session.run(fs_workload(30, seed=5), flexible=flexible)
     check_invariants(result, 20)
 
 
@@ -56,19 +52,16 @@ def test_fs_workload_invariants(flexible):
 def test_realapp_workload_invariants(flexible):
     from repro.cluster import marenostrum_production
 
-    result = run_workload(
-        realapp_workload(20, seed=5),
-        marenostrum_production(),
-        flexible=flexible,
-        runtime_config=RuntimeConfig(),
-    )
+    session = Session(cluster=marenostrum_production(), runtime=RuntimeConfig())
+    result = session.run(realapp_workload(20, seed=5), flexible=flexible)
     check_invariants(result, 65)
 
 
 def test_paired_runs_share_submission_times():
     spec = fs_workload(15, seed=8)
-    fixed = run_workload(spec, marenostrum_preliminary(), flexible=False)
-    flex = run_workload(spec, marenostrum_preliminary(), flexible=True)
+    session = Session(cluster=marenostrum_preliminary())
+    fixed = session.run(spec, flexible=False)
+    flex = session.run(spec, flexible=True)
     assert [j.submit_time for j in fixed.jobs] == [j.submit_time for j in flex.jobs]
     assert [j.submitted_nodes for j in fixed.jobs] == [
         j.submitted_nodes for j in flex.jobs
@@ -76,14 +69,16 @@ def test_paired_runs_share_submission_times():
 
 
 def test_fixed_rendition_never_resizes():
-    result = run_workload(fs_workload(15, seed=8), marenostrum_preliminary(), flexible=False)
+    session = Session(cluster=marenostrum_preliminary())
+    result = session.run(fs_workload(15, seed=8), flexible=False)
     assert result.summary.resize_count == 0
     assert result.trace.of_kind(EventKind.RESIZE_EXPAND, EventKind.RESIZE_SHRINK) == []
 
 
 def test_determinism_same_seed_same_trace():
-    a = run_workload(fs_workload(20, seed=3), marenostrum_preliminary(), flexible=True)
-    b = run_workload(fs_workload(20, seed=3), marenostrum_preliminary(), flexible=True)
+    session = Session(cluster=marenostrum_preliminary())
+    a = session.run(fs_workload(20, seed=3), flexible=True)
+    b = session.run(fs_workload(20, seed=3), flexible=True)
     assert a.makespan == b.makespan
     assert len(a.trace) == len(b.trace)
     assert [e.kind for e in a.trace] == [e.kind for e in b.trace]
@@ -91,7 +86,8 @@ def test_determinism_same_seed_same_trace():
 
 
 def test_accounting_consistent_with_summary():
-    result = run_workload(fs_workload(20, seed=3), marenostrum_preliminary(), flexible=True)
+    session = Session(cluster=marenostrum_preliminary())
+    result = session.run(fs_workload(20, seed=3), flexible=True)
     acct = Accounting(result.jobs)
     assert len(acct) == 20
     assert acct.mean_wait() == pytest.approx(result.summary.avg_wait_time)
@@ -111,10 +107,6 @@ def test_accounting_consistent_with_summary():
 def test_property_random_workloads_satisfy_invariants(seed, num_jobs, nodes):
     """Whatever the workload, the system conserves jobs and nodes."""
     cfg = FSWorkloadConfig(max_size=nodes, steps=4)
-    result = run_workload(
-        fs_workload(num_jobs, seed=seed, config=cfg),
-        ClusterConfig(num_nodes=nodes),
-        flexible=True,
-        runtime_config=RuntimeConfig(),
-    )
+    session = Session(cluster=ClusterConfig(num_nodes=nodes), runtime=RuntimeConfig())
+    result = session.run(fs_workload(num_jobs, seed=seed, config=cfg), flexible=True)
     check_invariants(result, nodes)
