@@ -5,20 +5,35 @@ Three stations:
 
 1. build a :class:`repro.api.Session` and run a paired fixed/flexible
    comparison in a few declarative lines;
-2. attach observers — a progress printer built from callbacks and a
-   :class:`~repro.api.TimelineObserver` that assembles the paper's
-   evolution series live, instead of scraping the trace afterwards;
+2. attach an observer — a :class:`~repro.api.SessionObserver` whose
+   one hook, ``on_event``, sees every resize as it happens — and read
+   the paper's evolution series, which the result derives from the
+   trace;
 3. render a paper artifact through the declarative registry, exactly as
    ``python -m repro`` does.
 
 Run:  python examples/session_api.py
 """
 
-from repro.api import CallbackObserver, Session, TimelineObserver, builtin_registry
+from repro.api import Session, SessionObserver, builtin_registry
 from repro.cluster import marenostrum_preliminary
-from repro.metrics import format_table, sparkline
+from repro.metrics import EventKind, format_table, sparkline
 from repro.runtime import RuntimeConfig
 from repro.workload import FSWorkloadConfig
+
+
+class ResizeLog(SessionObserver):
+    """Keeps one line per expand or shrink, as the simulation performs it."""
+
+    def __init__(self) -> None:
+        self.lines = []
+
+    def on_event(self, event) -> None:
+        if event.kind in (EventKind.RESIZE_EXPAND, EventKind.RESIZE_SHRINK):
+            self.lines.append(
+                f"t={event.time:7.1f}  job {event.job_id} {event.kind.value} "
+                f"-> {event['new_size']} nodes"
+            )
 
 
 def main() -> None:
@@ -43,23 +58,14 @@ def main() -> None:
         )
     )
 
-    # -- 2. live observers ---------------------------------------------------
-    resizes = []
-    timeline = TimelineObserver()
-    watched = session.observe(
-        CallbackObserver(
-            on_resize=lambda t, job, e: resizes.append(
-                f"t={t:7.1f}  {job.name} {e.kind.value} -> {e['new_size']} nodes"
-            )
-        ),
-        timeline,
-    )
-    watched.run(spec, flexible=True)
+    # -- 2. a live observer, and the series from the trace ------------------
+    log = ResizeLog()
+    result = session.observe(log).run(spec, flexible=True)
     print("\nfirst resizes, seen live:")
-    for line in resizes[:5]:
+    for line in log.lines[:5]:
         print(" ", line)
-    alloc = timeline.allocation_series()
-    print("\nallocated nodes over time (observer-built series):")
+    alloc = result.allocation_series()
+    print("\nallocated nodes over time (derived from the trace):")
     print(" ", sparkline(alloc, 0.0, alloc.times[-1]))
 
     # -- 3. the artifact registry -------------------------------------------

@@ -4,7 +4,7 @@ Applications and Adaptive Workloads* (Iserte et al., ICPP 2017).
 The package rebuilds the paper's full system in Python:
 
 * :mod:`repro.api` - the public facade: the composable ``Session``
-  builder, live ``SessionObserver`` hooks, and the artifact registry
+  builder, the live ``SessionObserver`` hook, and the artifact registry
   behind ``python -m repro``;
 * :mod:`repro.core` - the DMR API (the paper's primary contribution);
 * :mod:`repro.slurm` - the Slurm substrate with the Algorithm 1

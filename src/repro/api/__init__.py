@@ -5,8 +5,8 @@ Everything a consumer needs lives here:
 * :class:`Session` — immutable builder owning simulation assembly
   (cluster + Slurm + policy + runtime + seed) with ``submit`` / ``run`` /
   ``run_paired`` execution;
-* :class:`SessionObserver` / :class:`TimelineObserver` — live event
-  hooks replacing post-hoc trace scraping;
+* :class:`SessionObserver` — the live hook (``on_event``) that sees
+  every trace event as it is recorded;
 * :class:`WorkloadResult` / :class:`PairedComparison` — the result
   currency every experiment driver returns;
 * :func:`artifact` / :data:`REGISTRY` — the declarative registry the
@@ -17,13 +17,7 @@ this package; nothing outside it assembles ``Environment`` +
 ``SlurmController`` by hand.
 """
 
-from repro.api.observers import (
-    CallbackObserver,
-    EventCounter,
-    LiveTimelines,
-    SessionObserver,
-    TimelineObserver,
-)
+from repro.api.observers import SessionObserver
 from repro.api.registry import (
     REGISTRY,
     ArtifactRegistry,
@@ -46,11 +40,8 @@ from repro.obs.spans import Telemetry, TelemetryConfig
 __all__ = [
     "ArtifactRegistry",
     "ArtifactSpec",
-    "CallbackObserver",
     "DEFAULT_MAX_SIM_TIME",
-    "EventCounter",
     "LiveSimulation",
-    "LiveTimelines",
     "PairedComparison",
     "REGISTRY",
     "Session",
@@ -60,7 +51,6 @@ __all__ = [
     "SimulationTimeout",
     "Telemetry",
     "TelemetryConfig",
-    "TimelineObserver",
     "WorkloadResult",
     "artifact",
     "builtin_registry",

@@ -1,38 +1,27 @@
 """Live observation of a running :class:`~repro.api.session.Session`.
 
-Observers attach to a session *before* execution and receive scheduler
-events the moment they happen, instead of scraping the trace after the
-run.  This is how metrics timelines, progress reporting and future
-instrumentation hook into the simulation without the experiment drivers
-knowing about them.
+Observers attach to a session *before* execution and receive every trace
+event the moment it is recorded, through one hook,
+:meth:`SessionObserver.on_event`.  This is how the invariant harness and
+the serve SSE stream hook into the simulation without the experiment
+drivers knowing about them.  Series the paper plots
+(allocated nodes, running and completed jobs) are derived from the trace
+after the run (:mod:`repro.metrics.timeline`), so a run without session
+observers installs no trace subscriber at all.
 
-The dispatch contract:
-
-* :meth:`SessionObserver.on_submit` — a (non-resizer) job entered the
-  queue;
-* :meth:`SessionObserver.on_start` — a (non-resizer) job began running;
-* :meth:`SessionObserver.on_resize` — a running job expanded or shrank;
-* :meth:`SessionObserver.on_complete` — a (non-resizer) job finished;
-* :meth:`SessionObserver.on_event` — every raw trace event, including
-  resizer bookkeeping and allocation changes, for observers that need
-  the full stream.
-
-Resizer jobs (the Section V expand-protocol helpers) are filtered from
-the typed callbacks because they are an implementation artifact of the
-resize mechanism, not workload jobs; they remain visible in
-:meth:`on_event`.
+The event stream includes resizer bookkeeping (the Section V
+expand-protocol helper jobs, whose ``JOB_SUBMIT`` carries
+``resizer=True``) and allocation changes; an observer that wants only
+workload jobs filters them itself.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Tuple
 
-from repro.metrics.timeline import StepSeries, step_series
-from repro.metrics.trace import EventKind, TraceEvent
+from repro.metrics.trace import TraceEvent
 from repro.obs.registry import default_registry
-from repro.slurm.job import Job
 
 logger = logging.getLogger(__name__)
 
@@ -81,220 +70,29 @@ class SessionObserver:
         Gives state-checking observers (e.g. the invariant harness in
         :mod:`repro.testing`) access to the controller and machine for
         ground-truth comparisons; purely event-driven observers ignore it.
+        ``controller`` is None when the events come from a backend's
+        accounting records rather than an in-process controller.
         """
 
-    def on_submit(self, time: float, job: Job) -> None:
-        """A workload job was submitted to the controller."""
-
-    def on_start(self, time: float, job: Job) -> None:
-        """A workload job started running."""
-
-    def on_resize(self, time: float, job: Job, event: TraceEvent) -> None:
-        """A running job was expanded or shrunk (see ``event.kind``)."""
-
-    def on_requeue(self, time: float, job: Job) -> None:
-        """A running job was requeued (node failure) and will restart."""
-
-    def on_complete(self, time: float, job: Job) -> None:
-        """A workload job finished (completed, cancelled or timed out)."""
-
     def on_event(self, event: TraceEvent) -> None:
-        """Raw hook: every trace event, in order, as it is recorded."""
-
-
-@dataclass(frozen=True)
-class LiveTimelines:
-    """Step series assembled live by a :class:`TimelineObserver`."""
-
-    allocation: StepSeries
-    running: StepSeries
-
-
-class TimelineObserver(SessionObserver):
-    """Builds the paper's evolution series from live events.
-
-    Accumulates the allocated-node and running-job step functions as the
-    simulation emits events — the same series
-    :func:`repro.metrics.timeline.allocated_nodes_series` and
-    :func:`repro.metrics.timeline.running_jobs_series` would derive from
-    the trace afterwards, but produced incrementally, with no post-hoc
-    scraping pass.
-    """
-
-    def __init__(self) -> None:
-        self._alloc_points: List[Tuple[float, float]] = [(0.0, 0.0)]
-        self._running_points: List[Tuple[float, float]] = [(0.0, 0.0)]
-        self._running: Set[int] = set()
-        self._resizer_ids: Set[int] = set()
-
-    def on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind is EventKind.ALLOC_CHANGE:
-            self._alloc_points.append((event.time, float(event["nodes_used"])))
-        elif kind is EventKind.JOB_SUBMIT:
-            if event.data.get("resizer"):
-                self._resizer_ids.add(event.job_id)
-        elif kind is EventKind.JOB_START:
-            if event.job_id not in self._resizer_ids:
-                self._running.add(event.job_id)
-                self._running_points.append(
-                    (event.time, float(len(self._running)))
-                )
-        elif kind in (
-            EventKind.JOB_END,
-            EventKind.JOB_CANCEL,
-            EventKind.JOB_REQUEUE,
-        ):
-            if event.job_id in self._running:
-                self._running.discard(event.job_id)
-                self._running_points.append(
-                    (event.time, float(len(self._running)))
-                )
-
-    def allocation_series(self) -> StepSeries:
-        """Allocated node count over time, as observed so far."""
-        return step_series(self._alloc_points)
-
-    def running_series(self) -> StepSeries:
-        """Number of running (non-resizer) jobs over time."""
-        return step_series(self._running_points)
-
-    def snapshot(self) -> LiveTimelines:
-        """Freeze both series into an immutable bundle."""
-        return LiveTimelines(
-            allocation=self.allocation_series(),
-            running=self.running_series(),
-        )
-
-
-class EventCounter(SessionObserver):
-    """Counts the typed session events; the sweep engine's fan-in currency.
-
-    Observers cannot stream live across a process boundary, so sweep
-    pool workers attach one of these to their in-worker session and ship
-    the final tallies back with the cell result; the parent fans the
-    per-cell counts back together with :meth:`merge`
-    (``SweepResult.total_events``).  ``as_dict`` is the
-    (JSON-serializable) wire form.
-    """
-
-    def __init__(self) -> None:
-        self.submits = 0
-        self.starts = 0
-        self.resizes = 0
-        self.completions = 0
-        self.raw_events = 0
-
-    def on_submit(self, time: float, job: Job) -> None:
-        self.submits += 1
-
-    def on_start(self, time: float, job: Job) -> None:
-        self.starts += 1
-
-    def on_resize(self, time: float, job: Job, event: TraceEvent) -> None:
-        self.resizes += 1
-
-    def on_complete(self, time: float, job: Job) -> None:
-        self.completions += 1
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.raw_events += 1
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "submits": self.submits,
-            "starts": self.starts,
-            "resizes": self.resizes,
-            "completions": self.completions,
-            "raw_events": self.raw_events,
-        }
-
-    def merge(self, counts: Dict[str, int]) -> None:
-        """Fan in a worker's tallies (the inverse of :meth:`as_dict`)."""
-        self.submits += counts.get("submits", 0)
-        self.starts += counts.get("starts", 0)
-        self.resizes += counts.get("resizes", 0)
-        self.completions += counts.get("completions", 0)
-        self.raw_events += counts.get("raw_events", 0)
-
-
-class CallbackObserver(SessionObserver):
-    """Adapter turning plain callables into an observer.
-
-    Convenient for one-off instrumentation::
-
-        Session().observe(CallbackObserver(
-            on_complete=lambda t, job: print(f"{t:8.1f}  {job.name} done")
-        ))
-    """
-
-    def __init__(
-        self,
-        on_submit=None,
-        on_start=None,
-        on_resize=None,
-        on_complete=None,
-        on_event=None,
-    ) -> None:
-        self._on_submit = on_submit
-        self._on_start = on_start
-        self._on_resize = on_resize
-        self._on_complete = on_complete
-        self._on_event = on_event
-
-    def on_submit(self, time: float, job: Job) -> None:
-        if self._on_submit is not None:
-            self._on_submit(time, job)
-
-    def on_start(self, time: float, job: Job) -> None:
-        if self._on_start is not None:
-            self._on_start(time, job)
-
-    def on_resize(self, time: float, job: Job, event: TraceEvent) -> None:
-        if self._on_resize is not None:
-            self._on_resize(time, job, event)
-
-    def on_complete(self, time: float, job: Job) -> None:
-        if self._on_complete is not None:
-            self._on_complete(time, job)
-
-    def on_event(self, event: TraceEvent) -> None:
-        if self._on_event is not None:
-            self._on_event(event)
+        """Every trace event, in order, as it is recorded."""
 
 
 class ObserverDispatch:
-    """Routes trace events to a set of observers (one instance per run).
+    """Feeds trace events to a set of observers (one instance per run).
 
-    Installed by the session as a live trace subscriber; translates the
-    raw event vocabulary into the typed observer callbacks and resolves
-    job ids back to :class:`~repro.slurm.job.Job` objects through the
-    controller.
+    Installed by the session as a live trace subscriber; calls each
+    observer's :meth:`~SessionObserver.on_event` in attachment order.
 
     Non-strict observers (the default) are *isolated*: an exception
     escaping one of their hooks is caught, logged and tallied in
     :attr:`observer_errors` instead of aborting the simulation, and the
-    remaining observers still receive the callback.  Strict observers
+    remaining observers still receive the event.  Strict observers
     (``observer.strict = True``, e.g. the invariant harness) propagate.
     """
 
-    _TYPED_KINDS = {
-        EventKind.JOB_SUBMIT,
-        EventKind.JOB_START,
-        EventKind.JOB_END,
-        EventKind.JOB_CANCEL,
-        EventKind.JOB_REQUEUE,
-        EventKind.RESIZE_EXPAND,
-        EventKind.RESIZE_SHRINK,
-    }
-
     def __init__(self, controller, observers: Tuple[SessionObserver, ...]) -> None:
-        self._controller = controller
         self._observers = observers
-        self._resizer_ids: Set[int] = set()
-        #: id -> Job, filled at submission so later events resolve in O(1)
-        #: (controller.get_job scans the finished list).
-        self._jobs: Dict[int, Job] = {}
         #: Per-observer-class tally of suppressed callback exceptions.
         self.observer_errors: Dict[str, int] = {}
         for obs in observers:
@@ -328,26 +126,3 @@ class ObserverDispatch:
     def __call__(self, event: TraceEvent) -> None:
         for obs in self._observers:
             self._safely(obs, obs.on_event, event)
-        kind = event.kind
-        if kind not in self._TYPED_KINDS:
-            return
-        if kind is EventKind.JOB_SUBMIT and event.data.get("resizer"):
-            self._resizer_ids.add(event.job_id)
-            return
-        if event.job_id in self._resizer_ids:
-            return
-        job = self._jobs.get(event.job_id)
-        if job is None:
-            job = self._controller.get_job(event.job_id)
-            self._jobs[event.job_id] = job
-        for obs in self._observers:
-            if kind is EventKind.JOB_SUBMIT:
-                self._safely(obs, obs.on_submit, event.time, job)
-            elif kind is EventKind.JOB_START:
-                self._safely(obs, obs.on_start, event.time, job)
-            elif kind is EventKind.JOB_REQUEUE:
-                self._safely(obs, obs.on_requeue, event.time, job)
-            elif kind in (EventKind.JOB_END, EventKind.JOB_CANCEL):
-                self._safely(obs, obs.on_complete, event.time, job)
-            else:
-                self._safely(obs, obs.on_resize, event.time, job, event)

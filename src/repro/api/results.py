@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.api.observers import LiveTimelines
 from repro.metrics.summary import WorkloadSummary
 from repro.metrics.timeline import (
     StepSeries,
@@ -28,10 +27,8 @@ from repro.slurm.job import Job
 class WorkloadResult:
     """Everything an experiment needs from one workload execution.
 
-    When the run was executed through a session, ``timelines`` holds the
-    allocation/running step series assembled *live* by the session's
-    :class:`~repro.api.observers.TimelineObserver`; the series accessors
-    then return those instead of re-deriving them from the trace.
+    The evolution series accessors derive their step functions from
+    :attr:`trace` (:mod:`repro.metrics.timeline`).
     """
 
     workload_name: str
@@ -39,7 +36,6 @@ class WorkloadResult:
     jobs: List[Job]
     trace: Trace
     summary: WorkloadSummary
-    timelines: Optional[LiveTimelines] = None
     #: The run's span recorder when the session enabled telemetry
     #: (:meth:`~repro.api.session.Session.with_telemetry`).
     telemetry: Optional["Telemetry"] = None
@@ -55,13 +51,9 @@ class WorkloadResult:
         return self.summary.makespan
 
     def allocation_series(self) -> StepSeries:
-        if self.timelines is not None:
-            return self.timelines.allocation
         return allocated_nodes_series(self.trace)
 
     def running_series(self) -> StepSeries:
-        if self.timelines is not None:
-            return self.timelines.running
         return running_jobs_series(self.trace)
 
     def completed_series(self) -> StepSeries:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.api.observers import ObserverDispatch, SessionObserver, TimelineObserver
+from repro.api.observers import ObserverDispatch, SessionObserver
 from repro.api.results import PairedComparison, WorkloadResult
 from repro.backend.base import BackendSpec
 from repro.cluster.configs import ClusterConfig
@@ -245,7 +245,7 @@ class Session:
         return realapp_workload(num_jobs, seed=self.effective_seed, **kwargs)
 
     # -- assembly -----------------------------------------------------------
-    def build(self, extra_observers: Tuple[SessionObserver, ...] = ()) -> LiveSimulation:
+    def build(self) -> LiveSimulation:
         """Assemble environment + machine + controller + runtime launcher.
 
         Delegates to :func:`repro.backend.sim.assemble` — the one place
@@ -264,7 +264,7 @@ class Session:
             )
         from repro.backend.sim import assemble
 
-        return assemble(self, extra_observers)
+        return assemble(self)
 
     def execution_backend(self):
         """Instantiate this session's configured execution backend."""
@@ -280,14 +280,8 @@ class Session:
         — this is how the paper's paired fixed/flexible comparisons are
         run.  Nothing executes until :meth:`SessionRun.execute`.
         """
-        timeline = TimelineObserver()
-        sim = self.build(extra_observers=(timeline,))
         run = SessionRun(
-            session=self,
-            spec=spec,
-            flexible=flexible,
-            sim=sim,
-            timeline=timeline,
+            session=self, spec=spec, flexible=flexible, sim=self.build()
         )
         run._install_submitter()
         return run
@@ -344,7 +338,6 @@ class SessionRun:
     spec: WorkloadSpec
     flexible: bool
     sim: LiveSimulation
-    timeline: TimelineObserver
     jobs: List[Job] = field(default_factory=list)
 
     def _install_submitter(self) -> None:
@@ -397,6 +390,5 @@ class SessionRun:
             jobs=self.jobs,
             trace=controller.trace,
             summary=summary,
-            timelines=self.timeline.snapshot(),
             telemetry=self.sim.telemetry,
         )

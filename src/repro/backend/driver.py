@@ -17,7 +17,6 @@ and the session observer protocol to work unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.observers import ObserverDispatch
@@ -33,16 +32,6 @@ from repro.metrics.trace import EventKind, Trace
 from repro.obs.spans import CLOCK_WALL, Telemetry
 from repro.slurm.job import Job, JobState
 from repro.workload.spec import WorkloadSpec
-
-
-@dataclass
-class _JobResolver:
-    """``controller.get_job`` stand-in for the observer dispatch."""
-
-    jobs: Dict[int, Job]
-
-    def get_job(self, job_id: int) -> Job:
-        return self.jobs[job_id]
 
 
 def _request_for(job: Job, time_scale: float) -> JobRequest:
@@ -114,11 +103,9 @@ def _synthesize_trace(
     """
     trace = Trace()
     if observers:
-        dispatch = ObserverDispatch(
-            _JobResolver({job.job_id: job for job, _ in jobs}),
-            tuple(observers),  # type: ignore[arg-type]
-        )
-        trace.subscribe(dispatch)
+        # No in-process controller backs these events: observers attach
+        # to None and check the event stream alone.
+        trace.subscribe(ObserverDispatch(None, tuple(observers)))
 
     SUBMIT, START, END = 0, 1, 2
     moments: List[Tuple[float, int, int, Job, AccountingRecord]] = []
@@ -249,7 +236,6 @@ def run_workload(
         jobs=jobs,
         trace=trace,
         summary=summary,
-        timelines=None,
         telemetry=telemetry,
         accounting=tuple(records[bid] for bid in by_backend_id),
         backend=backend.name,

@@ -39,7 +39,7 @@ from repro.slurm.job import Job, JobClass, JobState
 from repro.slurm.resize import expand_protocol
 
 
-def assemble(session, extra_observers: Tuple[object, ...] = ()):
+def assemble(session):
     """Wire up a live simulation for a session (the sim-backend seam).
 
     Experiments, benchmarks, the CLI and the sim backend all go through
@@ -65,10 +65,9 @@ def assemble(session, extra_observers: Tuple[object, ...] = ()):
         telemetry = Telemetry(session.telemetry)
         controller.telemetry = telemetry
     install_runtime_launcher(controller, cluster, session.runtime)
-    observers = session.observers + tuple(extra_observers)
     dispatch = None
-    if observers:
-        dispatch = ObserverDispatch(controller, observers)
+    if session.observers:
+        dispatch = ObserverDispatch(controller, session.observers)
         controller.trace.subscribe(dispatch)
     injector = install_faults(controller, session.faults)
     return LiveSimulation(

@@ -647,12 +647,6 @@ def _sweep_mode(argv: List[str]) -> int:
         f"({result.cached_cells} cached, {result.computed_cells} computed, "
         f"jobs={result.jobs}, compute {result.compute_wall_time:.1f}s)"
     )
-    events = result.total_events()
-    if events["raw_events"]:
-        print(
-            f"observed across the ensemble: {events['completions']} job "
-            f"completions, {events['resizes']} resizes"
-        )
     _report_store(store)
     if args.trace is not None:
         from repro.errors import TelemetryError

@@ -67,8 +67,8 @@ def run_evolution(
 ) -> EvolutionResult:
     """Run one paired workload and keep its full traces.
 
-    The evolution series come from the session's live
-    :class:`~repro.api.TimelineObserver`, not from post-hoc scraping.
+    The evolution series are derived from each rendition's trace
+    (:meth:`~repro.api.WorkloadResult.allocation_series` and siblings).
     """
     session = (
         (session or Session())

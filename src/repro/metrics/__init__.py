@@ -17,7 +17,6 @@ from repro.metrics.timeline import (
     allocated_nodes_series,
     completed_jobs_series,
     running_jobs_series,
-    step_series,
 )
 from repro.metrics.trace import (
     EventKind,
@@ -48,7 +47,6 @@ __all__ = [
     "running_jobs_series",
     "stream_digest",
     "sparkline",
-    "step_series",
     "summarize",
     "text_digest",
     "trace_digest",

@@ -57,17 +57,6 @@ class StepSeries:
         return [self.at(t) for t in times]
 
 
-def step_series(points: Sequence[Tuple[float, float]]) -> StepSeries:
-    """Build a :class:`StepSeries` from (time, value) points.
-
-    Points must arrive in non-decreasing time order; multiple values at
-    the same timestamp collapse to the last one (the step function is
-    right-continuous).  This is the builder live observers use to turn
-    event streams into series without re-scraping the trace.
-    """
-    return _dedupe(list(points))
-
-
 def _dedupe(points: List[Tuple[float, float]]) -> StepSeries:
     """Keep only the last value per timestamp."""
     times: List[float] = []
@@ -97,7 +86,6 @@ def running_jobs_series(trace: Trace, include_resizers: bool = False) -> StepSer
         for e in trace.of_kind(EventKind.JOB_SUBMIT)
         if e.data.get("resizer")
     }
-    count = 0
     points: List[Tuple[float, float]] = [(0.0, 0.0)]
     running: set = set()
     for e in trace.events:
@@ -110,8 +98,7 @@ def running_jobs_series(trace: Trace, include_resizers: bool = False) -> StepSer
             EventKind.JOB_END,
             EventKind.JOB_CANCEL,
             # A requeued job is pending again until its restart's
-            # JOB_START (keeps this series identical to the live
-            # TimelineObserver on fault traces).
+            # JOB_START.
             EventKind.JOB_REQUEUE,
         ):
             if e.job_id in running:

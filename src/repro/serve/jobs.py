@@ -440,7 +440,6 @@ class JobManager:
                 "cached_cells": result.cached_cells,
                 "computed_cells": result.computed_cells,
                 "compute_wall_s": result.compute_wall_time,
-                "events": result.total_events(),
                 "aggregate_csv": aggregate.as_csv(),
             })
         except BaseException as exc:

@@ -96,15 +96,6 @@ class SweepResult:
         """Total per-cell compute seconds spent *this* run (misses only)."""
         return sum(c.wall_time for c in self.cells if not c.cached)
 
-    def total_events(self) -> Dict[str, int]:
-        """Fan the per-cell worker tallies into ensemble totals."""
-        from repro.api.observers import EventCounter
-
-        counter = EventCounter()
-        for cell in self.cells:
-            counter.merge(cell.events)
-        return counter.as_dict()
-
     def aggregate(self) -> Aggregate:
         """Collapse the seed axis into per-group, per-metric statistics."""
         groups: Dict[str, Dict[str, List[float]]] = {}

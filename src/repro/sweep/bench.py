@@ -93,7 +93,6 @@ def run_bench(
             "cell_wall": metric_stats(
                 [c.wall_time for c in result.cells]
             ).as_dict(),
-            "events": result.total_events(),
             "metrics": result.aggregate().as_dict(),
         }
     return {

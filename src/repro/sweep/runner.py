@@ -5,8 +5,7 @@ The execution contract:
 * :func:`execute_cell` is a module-level, picklable function — the only
   thing shipped to workers is a :class:`~repro.sweep.spec.RunSpec`, and
   the only thing shipped back is a small JSON-able payload (metrics,
-  compute wall time, and the fanned-in
-  :class:`~repro.api.observers.EventCounter` tallies).  Heavy result
+  compute wall time and, with telemetry on, span dicts).  Heavy result
   objects (jobs, traces) never cross the process boundary.
 * Workers are fresh processes, so the artifact registry's in-memory
   per-``(name, seed)`` cache is empty by construction — a cell can never
@@ -19,9 +18,8 @@ The execution contract:
   sweep's output is byte-identical for any ``jobs`` setting.
 
 Per-cell progress streams through :class:`SweepObserver` hooks in the
-parent; inside each cell the existing ``SessionObserver`` machinery
-observes the simulation (an :class:`EventCounter` always rides along,
-and in serial mode callers may attach their own live observers).
+parent; inside each cell, in serial mode only, callers may attach their
+own live session observers to the simulation.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ class CellOutcome:
     #: cell reports the original compute time, not the lookup time).
     wall_time: float
     cached: bool
-    #: Fanned-in EventCounter tallies (empty for analytic artifacts).
-    events: Dict[str, int]
     #: Span dicts shipped back from the worker when the runner had
     #: telemetry enabled.  Cache-served payloads written before spans
     #: existed (or by a telemetry-free run) simply have none.
@@ -175,12 +171,10 @@ def session_spec_for(spec: RunSpec):
 
 def _execute_workload_cell(
     spec: RunSpec, session_observers=(), telemetry_config=None
-) -> Tuple[Dict[str, float], Dict[str, int], List[Dict[str, object]]]:
-    from repro.api import EventCounter
+) -> Tuple[Dict[str, float], List[Dict[str, object]]]:
     from repro.workload.generator import fs_workload, realapp_workload
 
-    counter = EventCounter()
-    session = session_spec_for(spec).build().observe(counter, *session_observers)
+    session = session_spec_for(spec).build().observe(*session_observers)
     if telemetry_config is not None:
         session = session.with_telemetry(telemetry_config)
     if spec.workload == "fs":
@@ -211,7 +205,7 @@ def _execute_workload_cell(
         for data in result.telemetry.as_dicts():
             data.setdefault("attrs", {})["rendition"] = rendition
             spans.append(data)
-    return metrics, counter.as_dict(), spans
+    return metrics, spans
 
 
 def execute_cell(
@@ -221,25 +215,22 @@ def execute_cell(
 
     Returns the JSON-able store payload.  ``session_observers`` only
     applies in-process (serial mode) — live observers cannot cross a
-    process boundary, which is exactly why the :class:`EventCounter`
-    tallies (and, with telemetry enabled, the span dicts) are returned
-    by value.
+    process boundary, which is why, with telemetry enabled, the span
+    dicts are returned by value.
     """
     t0 = time.perf_counter()
     wall_start = time.time()
     spans: List[Dict[str, object]] = []
     if spec.kind == "artifact":
         metrics = _execute_artifact_cell(spec)
-        events: Dict[str, int] = {}
     else:
-        metrics, events, spans = _execute_workload_cell(
+        metrics, spans = _execute_workload_cell(
             spec, session_observers, telemetry_config
         )
     wall_time = time.perf_counter() - t0
     payload: Dict[str, object] = {
         "metrics": metrics,
         "wall_time": wall_time,
-        "events": events,
     }
     if telemetry_config is not None:
         cell = Telemetry(telemetry_config)
@@ -257,7 +248,6 @@ def _outcome(spec: RunSpec, payload: Dict[str, object], cached: bool) -> CellOut
         metrics={k: float(v) for k, v in payload["metrics"].items()},
         wall_time=float(payload["wall_time"]),
         cached=cached,
-        events={k: int(v) for k, v in payload.get("events", {}).items()},
         # Payloads cached before telemetry existed carry no spans.
         spans=tuple(payload.get("spans", ())),
     )

@@ -67,12 +67,10 @@ def _invariant_checked_sessions(request, monkeypatch):
     original_build = Session.build
     observers = []
 
-    def checked_build(self, extra_observers=()):
+    def checked_build(self):
         observer = InvariantObserver()
         observers.append(observer)
-        return original_build(
-            self, extra_observers=tuple(extra_observers) + (observer,)
-        )
+        return original_build(self.observe(observer))
 
     monkeypatch.setattr(Session, "build", checked_build)
     yield

@@ -1,36 +1,39 @@
-"""Tests for observer dispatch and live timeline assembly."""
+"""Tests for observer dispatch."""
 
-from repro.api import CallbackObserver, Session, SessionObserver, TimelineObserver
+from repro.api import Session, SessionObserver
 from repro.cluster import marenostrum_preliminary
-from repro.metrics import EventKind, allocated_nodes_series, running_jobs_series
-from repro.slurm.job import Job
+from repro.metrics import EventKind
 from repro.workload import FSWorkloadConfig, fs_workload
 
 SMALL_FS = FSWorkloadConfig(steps=4)
 
 
 class Recorder(SessionObserver):
+    """Sorts the event stream by kind, skipping resizer helper jobs."""
+
     def __init__(self):
+        self.resizer_ids = set()
         self.submits = []
         self.starts = []
         self.resizes = []
         self.completes = []
         self.raw = []
 
-    def on_submit(self, time, job):
-        self.submits.append((time, job))
-
-    def on_start(self, time, job):
-        self.starts.append((time, job))
-
-    def on_resize(self, time, job, event):
-        self.resizes.append((time, job, event))
-
-    def on_complete(self, time, job):
-        self.completes.append((time, job))
-
     def on_event(self, event):
         self.raw.append(event)
+        kind = event.kind
+        if kind is EventKind.JOB_SUBMIT and event.data.get("resizer"):
+            self.resizer_ids.add(event.job_id)
+        if event.job_id in self.resizer_ids:
+            return
+        if kind is EventKind.JOB_SUBMIT:
+            self.submits.append(event)
+        elif kind is EventKind.JOB_START:
+            self.starts.append(event)
+        elif kind in (EventKind.RESIZE_EXPAND, EventKind.RESIZE_SHRINK):
+            self.resizes.append(event)
+        elif kind in (EventKind.JOB_END, EventKind.JOB_CANCEL):
+            self.completes.append(event)
 
 
 def run_with(observer, num_jobs=6, flexible=True, seed=3):
@@ -46,10 +49,10 @@ class TestDispatch:
         assert len(rec.submits) == 6
         assert len(rec.starts) == 6
         assert len(rec.completes) == 6
-        assert all(isinstance(job, Job) for _, job in rec.submits)
-        # Resizer helper jobs are filtered from the typed callbacks...
-        assert all(not job.is_resizer for _, job in rec.submits)
-        # ...but the raw stream carries the full trace.
+        workload_ids = {job.job_id for job in result.jobs}
+        assert {e.job_id for e in rec.submits} == workload_ids
+        # The stream carries the full trace, resizer jobs included.
+        assert rec.resizer_ids
         assert len(rec.raw) == len(result.trace)
 
     def test_resize_callback_matches_trace(self):
@@ -67,10 +70,14 @@ class TestDispatch:
         assert rec.resizes == []
 
     def test_callback_observer_adapter(self):
-        done = []
-        obs = CallbackObserver(on_complete=lambda t, job: done.append(job.name))
-        run_with(obs, num_jobs=4)
-        assert len(done) == 4
+        # One hook: any callable set as on_event turns the base class
+        # into an observer, no subclass needed.
+        seen = []
+        obs = SessionObserver()
+        obs.on_event = seen.append
+        result = run_with(obs, num_jobs=4)
+        assert seen == list(result.trace)
+        assert len(result.trace.of_kind(EventKind.JOB_END)) == 4
 
     def test_cancelled_jobs_reach_on_complete(self):
         from repro.slurm import Job, JobClass
@@ -82,7 +89,9 @@ class TestDispatch:
                   job_class=JobClass.RIGID)
         sim.controller.submit(job)
         sim.controller.cancel_job(job)
-        assert [j.name for _, j in rec.completes] == ["doomed"]
+        assert [(e.kind, e.job_id) for e in rec.completes] == [
+            (EventKind.JOB_CANCEL, job.job_id)
+        ]
 
     def test_dispatch_detached_after_execution(self):
         # The returned result keeps the trace; the live hook must not pin
@@ -98,20 +107,14 @@ class TestDispatch:
 
 
 class FaultyObserver(SessionObserver):
-    """Raises from every hook after attach; the SSE-subscriber stand-in."""
+    """Raises from every event after attach; the SSE-subscriber stand-in."""
 
-    def __init__(self, fail_on=("on_event",)):
-        self.fail_on = fail_on
+    def __init__(self):
         self.seen = 0
 
     def on_event(self, event):
         self.seen += 1
-        if "on_event" in self.fail_on:
-            raise RuntimeError("subscriber went away")
-
-    def on_complete(self, time, job):
-        if "on_complete" in self.fail_on:
-            raise RuntimeError("boom in typed hook")
+        raise RuntimeError("subscriber went away")
 
 
 class TestDispatchHardening:
@@ -129,23 +132,15 @@ class TestDispatchHardening:
         assert dispatch.observer_errors["FaultyObserver"] == faulty.seen
         assert dispatch.suppressed_errors >= faulty.seen
 
-    def test_typed_hook_errors_are_isolated_too(self):
-        faulty = FaultyObserver(fail_on=("on_complete",))
-        rec = Recorder()
-        session = Session(cluster=marenostrum_preliminary()).observe(faulty, rec)
-        run = session.submit(fs_workload(3, seed=1, config=SMALL_FS))
-        run.execute()
-        assert len(rec.completes) == 3
-        assert run.sim.dispatch.observer_errors == {"FaultyObserver": 3}
-
     def test_strict_observer_still_propagates(self):
         import pytest
 
         class StrictFaulty(SessionObserver):
             strict = True
 
-            def on_submit(self, time, job):
-                raise RuntimeError("strict observers abort the run")
+            def on_event(self, event):
+                if event.kind is EventKind.JOB_SUBMIT:
+                    raise RuntimeError("strict observers abort the run")
 
         session = Session(cluster=marenostrum_preliminary()).observe(StrictFaulty())
         with pytest.raises(RuntimeError, match="strict observers abort"):
@@ -156,32 +151,3 @@ class TestDispatchHardening:
 
         assert InvariantObserver.strict is True
         assert SessionObserver.strict is False
-
-
-class TestLiveTimelines:
-    def test_live_series_match_trace_scraping(self):
-        result = run_with(SessionObserver(), num_jobs=6)
-        live_alloc = result.allocation_series()
-        live_running = result.running_series()
-        scraped_alloc = allocated_nodes_series(result.trace)
-        scraped_running = running_jobs_series(result.trace)
-        assert live_alloc.times == scraped_alloc.times
-        assert live_alloc.values == scraped_alloc.values
-        assert live_running.times == scraped_running.times
-        assert live_running.values == scraped_running.values
-
-    def test_result_serves_observer_built_series(self):
-        result = run_with(SessionObserver(), num_jobs=4)
-        assert result.timelines is not None
-        # The accessor returns the live series, not a fresh scrape.
-        assert result.allocation_series() is result.timelines.allocation
-        assert result.running_series() is result.timelines.running
-
-    def test_standalone_timeline_observer(self):
-        timeline = TimelineObserver()
-        result = run_with(timeline, num_jobs=5)
-        series = timeline.allocation_series()
-        assert series.values[-1] == 0.0
-        assert max(series.values) <= 20
-        snap = timeline.snapshot()
-        assert snap.running.at(result.trace.last_time() + 1) == 0.0

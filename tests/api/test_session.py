@@ -80,7 +80,14 @@ class TestExecution:
         assert result.flexible is True
         assert result.summary.num_jobs == 4
         assert result.makespan > 0
-        assert result.timelines is not None
+
+    @pytest.mark.no_invariants
+    def test_plain_submit_installs_no_trace_subscriber(self):
+        # A run without session observers pays nothing per trace record.
+        session = Session(cluster=marenostrum_preliminary())
+        run = session.submit(fs_workload(2, seed=1, config=SMALL_FS))
+        assert run.sim.dispatch is None
+        assert run.sim.controller.trace._subscribers == []
 
     def test_run_is_deterministic(self):
         session = Session(cluster=marenostrum_preliminary())
@@ -151,9 +158,9 @@ class TestSessionSpec:
         assert isinstance(spec, SessionSpec)
 
     def test_spec_drops_observers(self):
-        from repro.api import TimelineObserver
+        from repro.api import SessionObserver
 
-        session = Session().observe(TimelineObserver())
+        session = Session().observe(SessionObserver())
         rebuilt = session.spec().build()
         assert rebuilt.observers == ()
 

@@ -2,16 +2,18 @@
 
 import shlex
 import sys
+from collections import Counter
 
 import pytest
 
-from repro.api.observers import EventCounter
+from repro.api.observers import SessionObserver
 from repro.api.session import Session, SessionSpec
 from repro.backend import BackendSpec, JobRequest, run_workload
 from repro.backend.fake_slurmd import SPOOL_ENV
 from repro.backend.sim import SimBackend
 from repro.cluster.configs import ClusterConfig
 from repro.errors import BackendError
+from repro.metrics.trace import EventKind
 
 
 def small_session():
@@ -52,16 +54,38 @@ class TestDriverOverSim:
     def test_observers_see_synthetic_trace(self):
         session = small_session()
         spec = session.fs_workload(4)
-        counter = EventCounter()
-        observed = session.observe(counter)
+        seen = []
+        observer = SessionObserver()
+        observer.on_event = seen.append
+        observed = session.observe(observer)
         backend = SimBackend(session)
         run_workload(backend, spec, flexible=False, session=observed)
         backend.close()
 
-        assert counter.submits == 4
-        assert counter.starts == 4
-        assert counter.completions == 4
-        assert counter.raw_events > 8  # plus alloc changes
+        kinds = Counter(event.kind for event in seen)
+        assert kinds[EventKind.JOB_SUBMIT] == 4
+        assert kinds[EventKind.JOB_START] == 4
+        assert kinds[EventKind.JOB_END] == 4
+        assert len(seen) > 8  # plus alloc changes
+
+    def test_invariant_observer_watches_a_backend_routed_run(self):
+        from repro.testing import InvariantObserver
+
+        session = small_session()
+        spec = session.fs_workload(4)
+        observer = InvariantObserver()
+        backend = SimBackend(session)
+        try:
+            result = run_workload(
+                backend, spec, flexible=False, session=session.observe(observer)
+            )
+        finally:
+            backend.close()
+
+        # No in-process controller on this path: the observer checks the
+        # synthetic event stream only, and sees all of it.
+        assert observer.checks == len(result.trace) == 20
+        assert observer.verify_final() == 20
 
     def test_time_scale_must_be_positive(self):
         session = small_session()

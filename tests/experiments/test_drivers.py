@@ -99,14 +99,21 @@ class TestSweepDrivers:
 class TestSessionPlumbing:
     def test_drivers_accept_a_base_session(self):
         """Observers attached to the base session see every driver run."""
-        from repro.api import CallbackObserver, Session
+        from repro.api import SessionObserver
+        from repro.metrics import EventKind
 
-        completed = []
-        base = Session().observe(
-            CallbackObserver(on_complete=lambda t, job: completed.append(job.name))
-        )
+        class Completions(SessionObserver):
+            def __init__(self):
+                self.count = 0
+
+            def on_event(self, event):
+                if event.kind is EventKind.JOB_END:
+                    self.count += 1
+
+        completed = Completions()
+        base = Session().observe(completed)
         run_fig03(job_counts=(4,), seed=1, fs_config=SMALL_FS, session=base)
-        assert len(completed) == 8  # 4 jobs x fixed + flexible
+        assert completed.count == 8  # 4 jobs x fixed + flexible
 
 
 class TestRealAppsDriver:

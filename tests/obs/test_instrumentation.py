@@ -3,6 +3,7 @@
 from repro.api import Session, SessionObserver, Telemetry, TelemetryConfig
 from repro.cluster import marenostrum_preliminary
 from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.metrics.trace import EventKind
 from repro.obs.registry import default_registry
 from repro.obs.spans import CLOCK_SIM
 from repro.workload import FSWorkloadConfig, fs_workload
@@ -96,8 +97,9 @@ class TestSessionTelemetry:
 class TestObserverErrorMetrics:
     def test_observer_errors_reach_the_default_registry(self):
         class Faulty(SessionObserver):
-            def on_complete(self, time, job):
-                raise RuntimeError("subscriber went away")
+            def on_event(self, event):
+                if event.kind is EventKind.JOB_END:
+                    raise RuntimeError("subscriber went away")
 
         family = default_registry().counter(
             "repro_observer_errors_total", labels=("observer",)

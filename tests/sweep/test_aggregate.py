@@ -10,7 +10,6 @@ def _cell(seed, metrics, *, num_jobs=10, cached=False):
         metrics=metrics,
         wall_time=0.5,
         cached=cached,
-        events={},
     )
 
 
@@ -57,25 +56,6 @@ class TestAggregation:
         # stdev = 2, t(df=2) = 4.303 -> half width = 4.303 * 2 / sqrt(3)
         assert abs(row.stats.ci95_half - 4.303 * 2.0 / 3.0**0.5) < 1e-9
         assert "±" in row.stats.format_mean_ci()
-
-    def test_total_events_fans_in_worker_tallies(self):
-        a = _cell(1, {"m": 1.0})
-        b = _cell(2, {"m": 2.0})
-        cells = (
-            CellOutcome(spec=a.spec, metrics=a.metrics, wall_time=0.1,
-                        cached=False,
-                        events={"completions": 4, "resizes": 7,
-                                "raw_events": 100}),
-            CellOutcome(spec=b.spec, metrics=b.metrics, wall_time=0.1,
-                        cached=True,
-                        events={"completions": 4, "resizes": 3,
-                                "raw_events": 80}),
-        )
-        totals = SweepResult(cells=cells).total_events()
-        assert totals["completions"] == 8
-        assert totals["resizes"] == 10
-        assert totals["raw_events"] == 180
-        assert totals["submits"] == 0
 
     def test_counters(self):
         result = _result(

@@ -343,13 +343,6 @@ class TestSweepMode:
                      "--jobs", "0", "--quiet"]) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
 
-    def test_workload_sweep_reports_ensemble_events(self, capsys):
-        assert main(["sweep", "--workload", "fs", "--num-jobs", "4",
-                     "--nodes", "8", "--seeds", "2", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        # 2 cells x 2 renditions x 4 jobs, fanned in from the workers.
-        assert "observed across the ensemble: 16 job completions" in out
-
     def test_aggregate_csv_stays_single_delimiter(self, capsys):
         """Fig. 1 metric keys span two axis columns; the CSV must keep
         one comma-separated field count on every row."""
