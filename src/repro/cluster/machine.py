@@ -58,6 +58,10 @@ class Machine:
         #: Interconnect degradation multiplier (>= 1.0; faults raise it,
         #: the runtime scales redistribution times by it).
         self.network_factor: float = 1.0
+        #: Bumped by every change to the free pool, an allocation or node
+        #: health (the held-unreturnable set included); part of the
+        #: controller's scheduler state epoch.
+        self.version = 0
 
     # -- introspection ---------------------------------------------------
     @property
@@ -119,6 +123,7 @@ class Machine:
         self._observers.append(observer)
 
     def _notify(self) -> None:
+        self.version += 1
         used = self.used_count
         for obs in self._observers:
             obs(used)
@@ -267,6 +272,7 @@ class Machine:
                 # The deferred repair means the node WILL rejoin the pool
                 # when its holder releases it.
                 self._held_unreturnable.discard(node_index)
+            self.version += 1
             return False
         node.recover()
         self._unavailable.discard(node_index)
@@ -297,6 +303,7 @@ class Machine:
         elif node.state is NodeState.ALLOCATED:
             node.drain()
             self._held_unreturnable.add(node_index)
+            self.version += 1
 
     def resume_node(self, node_index: int) -> None:
         """Lift an operator drain (the inverse of :meth:`drain_node`)."""
@@ -311,6 +318,7 @@ class Machine:
             else:
                 node.state = NodeState.ALLOCATED
                 self._held_unreturnable.discard(node_index)
+                self.version += 1
 
     def set_perf_factor(self, node_index: int, factor: float) -> None:
         """Set a node's performance multiplier (transient slowdown)."""

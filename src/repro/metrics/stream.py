@@ -39,12 +39,17 @@ COMMENT_PREFIX = "# "
 class StreamingTraceWriter:
     """Streams canonical trace lines to disk with a running digest.
 
-    Use as a trace subscriber (``trace.subscribe(writer)``), a
-    :class:`~repro.api.observers.SessionObserver`'s ``on_event`` target,
-    or call it directly with :class:`TraceEvent` instances.  Always
-    :meth:`close` (or use as a context manager) — the footer written
-    there is what marks the spill as complete.
+    Use as a trace subscriber (``trace.subscribe(writer)``), as a
+    session observer (``Session().observe(writer)``: it has the
+    :class:`~repro.api.observers.SessionObserver` hooks), or call it
+    directly with :class:`TraceEvent` instances.  Always :meth:`close`
+    (or use as a context manager) — the footer written there is what
+    marks the spill as complete.
     """
+
+    #: A failed write is logged and counted by the session's observer
+    #: dispatch instead of aborting the run (SessionObserver semantics).
+    strict = False
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
@@ -56,8 +61,11 @@ class StreamingTraceWriter:
     def __call__(self, event: TraceEvent) -> None:
         self.write_line(canonical_line(event))
 
+    def on_attach(self, controller) -> None:
+        """SessionObserver hook; the writer needs no controller."""
+
     def on_event(self, event: TraceEvent) -> None:
-        """SessionObserver-compatible hook."""
+        """SessionObserver hook: spill the event."""
         self(event)
 
     def attach(self, trace: Trace) -> "StreamingTraceWriter":

@@ -580,7 +580,8 @@ def publish_sched_stats(registry: MetricsRegistry,
     )
     for op in ("fifo_passes", "backfill_passes", "key_evals",
                "running_end_evals", "heap_pushes", "heap_pops",
-               "queue_rebuilds", "jobs_examined", "jobs_started"):
+               "queue_rebuilds", "jobs_examined", "jobs_started",
+               "backfill_skips", "decisions_reused"):
         value = snapshot.get(op)
         if value:
             ops.inc(value, op=op)

@@ -17,6 +17,12 @@ cell or session that produced it.  Two clocks coexist deliberately:
 The Perfetto exporter keeps the two clocks on separate process tracks,
 so both timelines stay internally coherent.
 
+The scheduler records one span per pass, so its call site appends a
+:class:`PassSpan` rather than a :class:`Span`: one flat tuple built by a
+single C-level call, with no ``Span`` instance and no attrs dict.
+:attr:`Telemetry.spans` unpacks pass spans into ``Span`` objects when
+the spans are read, outside the pass.
+
 The buffer is bounded (:attr:`TelemetryConfig.max_spans`); once full,
 further spans increment :attr:`Telemetry.dropped` instead of silently
 vanishing or growing without limit — million-job benches can run with
@@ -35,7 +41,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 CLOCK_SIM = "sim"
 CLOCK_WALL = "wall"
@@ -122,19 +128,62 @@ class Span:
         return f"Span({self.name!r} {span} {self.clock}/{self.track})"
 
 
+class PassSpan(tuple):
+    """One scheduler pass as a ``sched.pass`` span, packed into a flat
+    tuple ``(at, kind, examined, started, wall_us)``.
+
+    Built as ``PassSpan((at, kind, examined, started, wall_us))``.  A pass
+    is instantaneous in simulated time, so ``at`` is both ends of the
+    span.  ``name`` and ``attrs`` read as a :class:`Span`'s do, for code
+    that inspects spans as they are appended; :meth:`unpack` builds the
+    :class:`Span` itself.
+    """
+
+    __slots__ = ()
+
+    name = "sched.pass"
+
+    @property
+    def attrs(self) -> Dict[str, object]:
+        _, kind, examined, started, wall_us = self
+        return {"kind": kind, "examined": examined, "started": started,
+                "wall_us": wall_us}
+
+    def unpack(self) -> Span:
+        at = self[0]
+        return Span(self.name, at, at, CLOCK_SIM, "scheduler", self.attrs)
+
+
 class Telemetry:
     """A bounded span recorder with an explicit drop counter."""
 
-    __slots__ = ("config", "spans", "dropped")
+    __slots__ = ("config", "_spans", "_unpacked", "dropped")
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config or TelemetryConfig()
-        self.spans: List[Span] = []
+        self._spans: List[Union[Span, PassSpan]] = []
+        #: How many leading entries of ``_spans`` are known unpacked.
+        self._unpacked = 0
         self.dropped = 0
 
     @property
     def correlation_id(self) -> Optional[str]:
         return self.config.correlation_id
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every recorded span, oldest first.
+
+        Pass spans appended since the last read are unpacked in place,
+        so each is built once however often the list is read.
+        """
+        spans = self._spans
+        for i in range(self._unpacked, len(spans)):
+            span = spans[i]
+            if type(span) is PassSpan:
+                spans[i] = span.unpack()
+        self._unpacked = len(spans)
+        return spans  # type: ignore[return-value]
 
     # -- recording -----------------------------------------------------------
     def record(
@@ -147,23 +196,24 @@ class Telemetry:
         **attrs: object,
     ) -> None:
         """Record one finished interval (both ends already known)."""
-        if len(self.spans) >= self.config.max_spans:
+        if len(self._spans) >= self.config.max_spans:
             self.dropped += 1
             return
-        self.spans.append(Span(name, start, end, clock, track, attrs or None))
+        self._spans.append(Span(name, start, end, clock, track, attrs or None))
 
-    def append(self, span: Span) -> None:
+    def append(self, span: Union[Span, PassSpan]) -> None:
         """Append a pre-built span (the scheduler hot-path entry point).
 
         :meth:`record` packs kwargs into an attrs dict on every call —
-        fine everywhere except a per-pass call site, where the packing
-        dominates the recording cost.  Hot paths build the
-        :class:`Span` themselves and land here.
+        fine everywhere except a per-pass call site, where building a
+        :class:`Span` and its attrs dict dominates the recording cost.
+        The scheduler passes a :class:`PassSpan` and lands here.
         """
-        if len(self.spans) >= self.config.max_spans:
+        spans = self._spans
+        if len(spans) >= self.config.max_spans:
             self.dropped += 1
             return
-        self.spans.append(span)
+        spans.append(span)
 
     def instant(
         self,
@@ -203,13 +253,13 @@ class Telemetry:
     ) -> None:
         """Fold spans shipped back from a worker into this recorder."""
         for data in payload:
-            if len(self.spans) >= self.config.max_spans:
+            if len(self._spans) >= self.config.max_spans:
                 self.dropped += 1
                 continue
             span = Span.from_dict(data)
             if "cid" in data:
                 span.attrs.setdefault("cid", data["cid"])
-            self.spans.append(span)
+            self._spans.append(span)
 
     def counts_by_name(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

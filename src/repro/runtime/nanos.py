@@ -122,13 +122,13 @@ class NanosRuntime:
             while not app.finished:
                 if malleable:
                     yield from self._reconfiguring_point()
-                steps = self._batch_steps()
+                slowdown = self.controller.machine.slowdown_of(job.job_id)
+                steps = self._batch_steps(slowdown)
                 if cp_period:
                     # Stop each batch at the next checkpoint boundary.
                     steps = min(
                         steps, cp_period - app.completed_steps % cp_period
                     )
-                slowdown = self.controller.machine.slowdown_of(job.job_id)
                 yield self.env.timeout(
                     steps * app.step_time(job.num_nodes) * slowdown
                 )
@@ -202,7 +202,7 @@ class NanosRuntime:
             steps=self.app.completed_steps,
         )
 
-    def _batch_steps(self) -> int:
+    def _batch_steps(self, slowdown: float) -> int:
         """How many iterations to run before the next reconfiguring point.
 
         Iterations between two serviced DMR calls are indistinguishable in
@@ -221,9 +221,7 @@ class NanosRuntime:
         # the run loop charges, or a slowdown would push the next
         # reconfiguring point — and forced-shrink service — late by the
         # slowdown factor.
-        step = app.step_time(job.num_nodes) * self.controller.machine.slowdown_of(
-            job.job_id
-        )
+        step = app.step_time(job.num_nodes) * slowdown
         until_next_check = self.session.inhibitor.last_check + period - self.env.now
         if until_next_check <= 0:
             return 1

@@ -19,9 +19,14 @@ node daemons.
   :class:`~repro.core.actions.ResizeDecision` whose
   :class:`~repro.core.actions.DecisionReason` is recorded in the trace.
 * :meth:`SlurmController.policy_view` snapshots the scheduler state that
-  decision is computed against.  Asynchronous mode
-  (``dmr_icheck_status``) deliberately passes a *stale* snapshot taken one
-  step earlier — the staleness analysed in Fig. 6.
+  decision is computed against, at the call, in both modes: asynchronous
+  mode (``dmr_icheck_status``) applies the *decision* one step late —
+  the staleness analysed in Fig. 6 — not a stale view.
+* :meth:`SlurmController.epoch` changes whenever anything a backfill
+  pass or an Algorithm 1 decision reads has changed: a periodic backfill
+  pass after a pass that started nothing returns at once while it holds,
+  and ``check_status`` reuses a job's last no-action decision while it,
+  the job's size and its effective request all hold.
 * :meth:`SlurmController.detach_all_nodes`, :meth:`SlurmController.grow_job`
   and :meth:`SlurmController.shrink_job` are the Section III Slurm API
   steps the runtime's resize protocol (:mod:`repro.slurm.resize`) drives
@@ -47,7 +52,7 @@ from repro.core.actions import (
 )
 from repro.errors import SchedulerError
 from repro.metrics.trace import EventKind, Trace
-from repro.obs.spans import Span
+from repro.obs.spans import PassSpan
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.slurm.backfill import BF_MAX_JOB_TEST, plan_backfill
@@ -149,6 +154,17 @@ class SlurmController:
         self.requeue_restore: Optional[Callable[[Job], None]] = None
         self._pass_scheduled = False
         self._backfill_thread_alive = False
+        #: The controller's part of :meth:`epoch`: running-set and
+        #: expected-end changes, and time-limit updates.
+        self._version = 0
+        #: Epoch of the last backfill pass that started nothing (None
+        #: after a pass that started a job).
+        self._quiet_epoch: Optional[int] = None
+        #: Each running job's last no-action decision, keyed on
+        #: ``(epoch, size, effective request)``.
+        self._no_action: Dict[
+            int, Tuple[int, int, ResizeRequest, ResizeDecision]
+        ] = {}
 
         machine.subscribe(self._on_alloc_change)
 
@@ -167,8 +183,20 @@ class SlurmController:
             return jobs
         return [j for j in jobs if not j.is_resizer]
 
+    def epoch(self) -> int:
+        """The scheduler state epoch: changes whenever a free node, an
+        allocation, node health, the pending order, the running set, an
+        expected end or a time limit has.
+
+        A due saturation re-sort runs first, so it moves the epoch
+        before anyone compares it.
+        """
+        self.queue.live(self.env.now)
+        return self.machine.version + self.queue.version + self._version
+
     # -- running-jobs expected-end index -------------------------------------
     def _running_insert(self, job: Job) -> None:
+        self._version += 1
         key = (job.expected_end, next(self._start_seq))
         self.stats.running_end_evals += 1
         i = bisect_left(self._end_keys, key)
@@ -177,6 +205,8 @@ class SlurmController:
         self._end_key_of[job.job_id] = key
 
     def _running_remove(self, job: Job) -> None:
+        self._version += 1
+        self._no_action.pop(job.job_id, None)
         key = self._end_key_of.pop(job.job_id, None)
         if key is None:
             return
@@ -186,6 +216,7 @@ class SlurmController:
 
     def _running_reposition(self, job: Job) -> None:
         """Re-place a running job whose expected end changed (resize)."""
+        self._version += 1
         key = self._end_key_of.pop(job.job_id, None)
         if key is None:
             return
@@ -354,9 +385,10 @@ class SlurmController:
         """
         self._pass_scheduled = False
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
+        now = self.env.now
         free = self.machine.free_count
         examined = started = 0
-        jobs = self.queue.live(self.env.now)
+        jobs = self.queue.live(now)
         i = 0
         while i < len(jobs):
             job = jobs[i]
@@ -376,24 +408,24 @@ class SlurmController:
             self._start_job(job)
             started += 1
             free -= job.num_nodes
-        self._note_pass("fifo", examined, started, wall_t0)
+        self._note_pass("fifo", now, examined, started, wall_t0)
 
-    def _note_pass(self, kind: str, examined: int, started: int,
+    def _note_pass(self, kind: str, now: float, examined: int, started: int,
                    wall_t0: float) -> None:
         """Tally a finished pass; span-record it when telemetry is on.
 
         A pass is instantaneous in simulated time (zero-duration span at
-        ``env.now``); the measured wall-clock cost rides along as an
-        attribute, which is what the bench's overhead pin watches.
+        ``now``); the measured wall-clock cost rides along as an
+        attribute, which is what the bench's overhead pin watches.  The
+        span is a packed :class:`~repro.obs.spans.PassSpan`, so a pass
+        pays for one tuple, not a ``Span`` and its attrs dict.
         """
         self.stats.record_pass(kind, examined, started)
         if self.telemetry is not None:
-            now = self.env.now
-            self.telemetry.append(Span(
-                "sched.pass", now, now, "sim", "scheduler",
-                {"kind": kind, "examined": examined, "started": started,
-                 "wall_us": (perf_counter() - wall_t0) * 1e6},
-            ))
+            self.telemetry.append(PassSpan((
+                now, kind, examined, started,
+                (perf_counter() - wall_t0) * 1e6,
+            )))
 
     def _moldable_fit(self, job: Job, free: int) -> Optional[int]:
         """Size a moldable job into ``free`` nodes (largest fit, or None).
@@ -441,11 +473,24 @@ class SlurmController:
     def _backfill_pass(self) -> None:
         """Periodic EASY pass over the first ``BF_MAX_JOB_TEST``
         dependency-satisfied jobs, read from the live order in place
-        (blocked ones are skipped)."""
+        (blocked ones are skipped).
+
+        A pass returns at once when the :meth:`epoch` has not moved
+        since a pass that started nothing: the order, the free nodes,
+        the dependencies, the expected ends and the held nodes are all
+        the same, and with no picks the shadow time does not depend on
+        ``now``, so ``now + time_limit <= shadow`` only gets harder.
+        """
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
+        now = self.env.now
+        epoch = self.epoch()
+        if epoch == self._quiet_epoch:
+            self.stats.backfill_skips += 1
+            self._note_pass("backfill", now, 0, 0, wall_t0)
+            return
         eligible: List[Job] = []
         examined = 0
-        for job in self.queue.live(self.env.now):
+        for job in self.queue.live(now):
             examined += 1
             if self._dependency_satisfied(job):
                 eligible.append(job)
@@ -455,13 +500,14 @@ class SlurmController:
             eligible,
             self._end_jobs,
             self.machine.free_count,
-            self.env.now,
+            now,
             running_presorted=True,
             unreturnable=self.machine.held_unreturnable,
         )
         for job in starts:
             self._start_job(job)
-        self._note_pass("backfill", examined, len(starts), wall_t0)
+        self._quiet_epoch = None if starts else epoch
+        self._note_pass("backfill", now, examined, len(starts), wall_t0)
 
     def _start_job(self, job: Job) -> None:
         nodes = self.machine.allocate(job.job_id, job.num_nodes)
@@ -504,31 +550,46 @@ class SlurmController:
 
     # -- reconfiguration policy entry (used by the DMR API) --------------------
     def policy_view(self) -> PolicyView:
-        """Snapshot of the scheduler state for a reconfiguration decision."""
+        """Snapshot of the scheduler state for a reconfiguration decision.
+
+        Under the default ``shrink_beneficiary="head"`` the pending tuple
+        holds only the queue head, all that Algorithm 1 then reads.
+        """
         return PolicyView(
             free_nodes=self.machine.free_count,
-            pending=self.queue.policy_snapshot(self.env.now),
+            pending=self.queue.policy_snapshot(
+                self.env.now,
+                head_only=self.policy.config.shrink_beneficiary == "head",
+            ),
             running_count=len(self.running),
             min_pending_nodes=self.queue.min_pending_nodes,
         )
 
-    def check_status(
-        self,
-        job: Job,
-        request: ResizeRequest,
-        view: Optional[PolicyView] = None,
-    ) -> ResizeDecision:
-        """Evaluate Algorithm 1 for ``job``.
+    def check_status(self, job: Job, request: ResizeRequest) -> ResizeDecision:
+        """Evaluate Algorithm 1 for ``job`` against the current state.
 
-        ``view`` may be a stale snapshot (asynchronous mode); by default
-        the current state is used (synchronous mode).
+        A job's no-action decision is reused while the :meth:`epoch`, the
+        job's size and its effective request are unchanged; the decision
+        is recorded in the trace either way.
         """
         if job.job_id not in self.running:
             raise SchedulerError(f"job {job.job_id} is not running")
-        if view is None:
-            view = self.policy_view()
         request = self._effective_request(job, request)
-        decision = self.policy.decide(job, request, view)
+        epoch = self.epoch()
+        size = job.num_nodes
+        kept = self._no_action.get(job.job_id)
+        if (
+            kept is not None
+            and kept[0] == epoch
+            and kept[1] == size
+            and kept[2] == request
+        ):
+            decision = kept[3]
+            self.stats.decisions_reused += 1
+        else:
+            decision = self.policy.decide(job, request, self.policy_view())
+            if decision.action is ResizeAction.NO_ACTION:
+                self._no_action[job.job_id] = (epoch, size, request, decision)
         self.trace.record(
             self.env.now,
             EventKind.RESIZE_DECISION,
@@ -681,6 +742,8 @@ class SlurmController:
         # resize rescaling, which is anchored to one incarnation's
         # elapsed time and must not).
         job.submitted_time_limit = time_limit
+        # A pending job's limit feeds backfill's shadow test.
+        self._version += 1
         if job.job_id in self.running:
             self._running_reposition(job)
 

@@ -14,10 +14,13 @@ saturation, so a job is keyed once, at submission.
 Readers use the order in place: the FIFO pass walks :meth:`live` past
 dependency-blocked jobs, the backfill pass takes its first
 ``bf_max_job_test`` eligible jobs from it, and the Algorithm 1 policy
-view is a tuple copy of it.  Starting a job is the only queue write a
+view takes its first non-resizer (under the default head-only shrink
+rule) or a tuple copy of it.  Starting a job is the only queue write a
 pass makes.  A sorted multiset of the queued non-resizer sizes, each
 recorded at insert, answers Algorithm 1's "some pending job fits" test
-in O(1) (:attr:`PendingQueue.min_pending_nodes`).
+in O(1) (:attr:`PendingQueue.min_pending_nodes`).  Every write, the
+saturation re-sort included, bumps :attr:`PendingQueue.version`, the
+queue's part of the controller's scheduler state epoch.
 
 Saturation (a job pending longer than ``PriorityMaxAge``, 7 days by
 default) breaks the time-invariance: a saturated job's priority stops
@@ -54,6 +57,12 @@ class SchedStats:
     ``heap_pushes`` and ``heap_pops`` keep their historical names but
     count pending-index inserts (submit, requeue, re-key) and removals
     (start, cancel, re-key); passes that only read add to neither.
+
+    ``backfill_skips`` counts periodic backfill passes skipped because
+    the scheduler state epoch had not moved since a pass that started
+    nothing; a skipped pass still counts as a pass that examined 0 jobs.
+    ``decisions_reused`` counts ``check_status`` calls answered with the
+    job's previous no-action decision instead of a new Algorithm 1 run.
     """
 
     fifo_passes: int = 0
@@ -67,6 +76,8 @@ class SchedStats:
     jobs_started: int = 0
     max_examined_in_pass: int = 0
     max_queue_depth: int = 0
+    backfill_skips: int = 0
+    decisions_reused: int = 0
 
     def record_pass(self, kind: str, examined: int, started: int) -> None:
         if kind == "backfill":
@@ -103,6 +114,8 @@ class SchedStats:
             "jobs_started": self.jobs_started,
             "max_examined_in_pass": self.max_examined_in_pass,
             "max_queue_depth": self.max_queue_depth,
+            "backfill_skips": self.backfill_skips,
+            "decisions_reused": self.decisions_reused,
             "examined_per_pass": (
                 self.jobs_examined / self.passes if self.passes else 0.0
             ),
@@ -136,6 +149,8 @@ class PendingQueue:
         #: trustworthy and the queue re-keys per distinct timestamp.
         self._stale = False
         self._fresh_at = float("-inf")
+        #: Bumped by every insert, removal and re-sort.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -180,10 +195,21 @@ class PendingQueue:
         """All pending jobs in scheduling order (fresh list per call)."""
         return list(self.live(now))
 
-    def policy_snapshot(self, now: float) -> Tuple[Job, ...]:
+    def policy_snapshot(self, now: float,
+                        head_only: bool = False) -> Tuple[Job, ...]:
         """Pending non-resizer jobs in scheduling order (Algorithm 1's
-        view): a tuple copy, filtered only while a resizer is queued."""
+        view): a tuple copy, filtered only while a resizer is queued.
+
+        ``head_only`` returns just the first of them (or ``()``), all
+        that the default ``shrink_beneficiary="head"`` rule reads.
+        """
         jobs = self.live(now)
+        if head_only:
+            if self._size_of:
+                for job in jobs:
+                    if not job.is_resizer:
+                        return (job,)
+            return ()
         if len(self._size_of) == len(jobs):
             return tuple(jobs)
         return tuple(job for job in jobs if not job.is_resizer)
@@ -208,6 +234,7 @@ class PendingQueue:
             self._size_of[job.job_id] = size
             insort(self._sizes, size)
         self.stats.heap_pushes += 1
+        self.version += 1
         self._note_expiry(job)
 
     def _remove(self, job: Job, key: Tuple) -> None:
@@ -218,6 +245,7 @@ class PendingQueue:
         if size is not None:
             del self._sizes[bisect_left(self._sizes, size)]
         self.stats.heap_pops += 1
+        self.version += 1
 
     def _note_expiry(self, job: Job) -> None:
         if job.priority_boost == float("inf") or job.submit_time is None:
@@ -254,3 +282,4 @@ class PendingQueue:
         self._key_of = {job.job_id: key for key, job in keyed}
         self._fresh_at = now
         self.stats.queue_rebuilds += 1
+        self.version += 1

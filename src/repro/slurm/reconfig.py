@@ -29,18 +29,21 @@ from repro.slurm.job import Job
 class PolicyView:
     """Snapshot of the system state a decision is based on.
 
-    In synchronous mode the view is taken at the DMR call; in asynchronous
-    mode it is the (possibly stale) view captured one step earlier, which
-    is exactly the effect Section VIII-C analyses.
+    The view is taken at the DMR call in both modes; asynchronous mode
+    applies the resulting *decision* one step late, which is the effect
+    Section VIII-C analyses.
     """
 
     free_nodes: int
-    #: Pending non-resizer jobs in priority order (head first).
+    #: Pending non-resizer jobs in priority order (head first).  Under
+    #: ``shrink_beneficiary="head"`` the controller passes only the head:
+    #: the policy then reads no further than ``pending[:1]``.
     pending: Tuple[Job, ...] = ()
     #: Number of running jobs (including the caller).
     running_count: int = 1
-    #: Smallest ``num_nodes`` in ``pending`` (None when it is empty); the
-    #: controller reads it from the queue's size index, else it is derived.
+    #: Smallest ``num_nodes`` among the pending non-resizer jobs (None
+    #: when there are none); the controller reads it from the queue's
+    #: size index, else it is derived from ``pending``.
     min_pending_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -13,11 +13,15 @@ the ``legacy`` rows of ``repro bench sched``
 It keeps neither index, so its :class:`~repro.slurm.queue.SchedStats`
 count only what re-sorting costs: one priority key per pending job per
 ordered view, and one expected-end key per running job (and per pick)
-whenever backfill computes a shadow time.
+whenever backfill computes a shadow time.  Its scheduler state epoch is
+new on every read, so it never skips a backfill pass or reuses an
+Algorithm 1 decision: the differentials compare the controller's
+skipping and reuse against the work done in full.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from time import perf_counter
 from typing import List
 
@@ -46,6 +50,10 @@ class ResortController(SlurmController):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.queue = _NoQueue()
+        self._epochs = count()
+
+    def epoch(self) -> int:
+        return next(self._epochs)
 
     def pending_jobs(self, include_resizers: bool = True) -> List[Job]:
         jobs = [
@@ -82,7 +90,7 @@ class ResortController(SlurmController):
             self._start_job(job)
             started += 1
             free -= job.num_nodes
-        self._note_pass("fifo", examined, started, wall_t0)
+        self._note_pass("fifo", self.env.now, examined, started, wall_t0)
 
     def _backfill_pass(self) -> None:
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
@@ -102,7 +110,9 @@ class ResortController(SlurmController):
             self.stats.running_end_evals += len(running) + len(starts)
         for job in starts:
             self._start_job(job)
-        self._note_pass("backfill", len(pending), len(starts), wall_t0)
+        self._note_pass(
+            "backfill", self.env.now, len(pending), len(starts), wall_t0
+        )
 
     def policy_view(self) -> PolicyView:
         # PolicyView derives min_pending_nodes from the tuple itself.

@@ -36,6 +36,27 @@ class TestSessionTelemetry:
         # Sim start/end coincide for a pass; the wall cost is an attr.
         assert all(s.attrs["wall_us"] >= 0 for s in passes)
 
+    def test_each_pass_reaches_append_with_its_wall_cost(self, monkeypatch):
+        # An outside-in tracer wraps Telemetry.append and reads each
+        # pass's name and wall cost as the pass ends.
+        seen = []
+        append = Telemetry.append
+
+        def spy(telemetry, span):
+            append(telemetry, span)
+            if span.name == "sched.pass":
+                seen.append(span.attrs["wall_us"])
+
+        monkeypatch.setattr(Telemetry, "append", spy)
+        result = (
+            Session(cluster=marenostrum_preliminary())
+            .with_telemetry()
+            .run(small_spec())
+        )
+        assert seen
+        assert len(seen) == result.telemetry.counts_by_name()["sched.pass"]
+        assert all(wall_us >= 0 for wall_us in seen)
+
     def test_flexible_run_records_reconfigurations(self):
         session = Session(cluster=marenostrum_preliminary()).with_telemetry()
         result = session.run(small_spec(num_jobs=8), flexible=True)

@@ -148,10 +148,14 @@ class TestPublishBridges:
     def test_publish_sched_stats(self):
         registry = MetricsRegistry()
         publish_sched_stats(registry, {"fifo_passes": 3, "key_evals": 10,
+                                       "backfill_skips": 2,
+                                       "decisions_reused": 5,
                                        "irrelevant": 7})
         snap = registry.snapshot()
         assert snap['repro_sched_ops_total{op="fifo_passes"}'] == 3.0
         assert snap['repro_sched_ops_total{op="key_evals"}'] == 10.0
+        assert snap['repro_sched_ops_total{op="backfill_skips"}'] == 2.0
+        assert snap['repro_sched_ops_total{op="decisions_reused"}'] == 5.0
         assert not any("irrelevant" in key for key in snap)
 
     def test_publish_store_stats_uses_deltas(self):

@@ -8,6 +8,7 @@ from repro.obs.spans import (
     CLOCK_SIM,
     CLOCK_WALL,
     DEFAULT_MAX_SPANS,
+    PassSpan,
     Span,
     Telemetry,
     TelemetryConfig,
@@ -125,3 +126,49 @@ class TestTelemetry:
         )
         assert len(parent.spans) == 1
         assert parent.dropped == 2
+
+
+class TestPassSpan:
+    def test_reads_as_a_sched_pass_span(self):
+        span = PassSpan((12.0, "backfill", 3, 1, 7.5))
+        assert span.name == "sched.pass"
+        assert span.attrs == {
+            "kind": "backfill", "examined": 3, "started": 1, "wall_us": 7.5
+        }
+        assert span.unpack().as_dict() == Span(
+            "sched.pass", 12.0, 12.0, CLOCK_SIM, "scheduler", span.attrs
+        ).as_dict()
+
+    def test_spans_unpacks_in_recording_order(self):
+        telemetry = Telemetry()
+        telemetry.record("a", 0.0, 1.0)
+        telemetry.append(PassSpan((1.0, "fifo", 2, 0, 3.0)))
+        telemetry.instant("b", 2.0)
+        spans = telemetry.spans
+        assert [s.name for s in spans] == ["a", "sched.pass", "b"]
+        assert all(type(s) is Span for s in spans)
+        assert telemetry.counts_by_name() == {"a": 1, "sched.pass": 1, "b": 1}
+        assert telemetry.as_dicts()[1]["attrs"]["examined"] == 2
+
+    def test_each_pass_span_is_unpacked_once(self):
+        telemetry = Telemetry()
+        telemetry.append(PassSpan((1.0, "fifo", 2, 0, 3.0)))
+        first = telemetry.spans[0]
+        telemetry.append(PassSpan((2.0, "backfill", 0, 0, 1.0)))
+        spans = telemetry.spans
+        assert spans[0] is first
+        assert spans[1].start == spans[1].end == 2.0
+        assert telemetry.spans is spans
+
+    def test_append_respects_bound(self):
+        telemetry = Telemetry(TelemetryConfig(max_spans=2))
+        for i in range(5):
+            telemetry.append(PassSpan((float(i), "fifo", 0, 0, 0.0)))
+        assert [s.start for s in telemetry.spans] == [0.0, 1.0]
+        assert telemetry.dropped == 3
+
+    def test_recorder_with_pass_spans_pickles(self):
+        telemetry = Telemetry(TelemetryConfig(correlation_id="c"))
+        telemetry.append(PassSpan((4.0, "fifo", 1, 1, 2.0)))
+        back = pickle.loads(pickle.dumps(telemetry))
+        assert back.as_dicts() == telemetry.as_dicts()

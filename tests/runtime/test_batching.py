@@ -29,7 +29,7 @@ def run_workload(n_jobs, sched_period, steps, step_time, batching, seed_sizes):
     if not batching:
         # Force one-iteration batches (the semantically obvious loop).
         original = NanosRuntime._batch_steps
-        NanosRuntime._batch_steps = lambda self: (
+        NanosRuntime._batch_steps = lambda self, slowdown: (
             1 if (self.job.is_flexible and self.app.resize is not None)
             else self.app.remaining_steps
         )

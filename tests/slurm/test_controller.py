@@ -11,6 +11,8 @@ from repro.slurm import (
     Job,
     JobClass,
     JobState,
+    MultifactorConfig,
+    PolicyConfig,
     SlurmConfig,
     SlurmController,
     expand_protocol,
@@ -328,6 +330,217 @@ class TestCheckStatus:
         # in pending; policy views must filter it.
         view = ctl.policy_view()
         assert all(not p.is_resizer for p in view.pending)
+
+
+def quiet_setup(hog=None, max_age=None):
+    """A 4-node machine whose backfill pass starts nothing.
+
+    ``hog`` (default: a rigid 3-node job) runs, a 2-node job waits for
+    it, one node is idle, and one backfill pass has run (the periodic
+    thread is off, so the tests drive every pass).  Returns
+    ``(env, machine, ctl, hog, blocked)``.
+    """
+    env = Environment()
+    machine = Machine(4)
+    priority = (MultifactorConfig() if max_age is None
+                else MultifactorConfig(max_age=max_age))
+    ctl = SlurmController(
+        env, machine, SlurmConfig(priority=priority, backfill_interval=0)
+    )
+    hog = ctl.submit(hog or rigid(3, limit=100.0, name="hog"))
+    env.run(until=1.0)
+    blocked = ctl.submit(rigid(2, limit=10.0, name="blocked"))
+    env.run(until=2.0)
+    assert hog.is_running and blocked.is_pending
+    assert not skipped(ctl)  # the first pass after the submit runs
+    assert skipped(ctl)      # ... and nothing changed since
+    return env, machine, ctl, hog, blocked
+
+
+def skipped(ctl):
+    """Run one backfill pass; True when it returned at once."""
+    before = ctl.stats.backfill_skips
+    ctl._backfill_pass()
+    return ctl.stats.backfill_skips > before
+
+
+class TestStateEpoch:
+    """A backfill pass that would otherwise be quiet is not skipped after
+    any change the scheduler state epoch covers."""
+
+    def test_skipped_pass_still_counts_as_a_pass(self):
+        env, _, ctl, _, _ = quiet_setup()
+        before = ctl.stats.snapshot()
+        env.run(until=500.0)
+        assert skipped(ctl)
+        after = ctl.stats.snapshot()
+        assert after["backfill_passes"] == before["backfill_passes"] + 1
+        assert after["jobs_examined"] == before["jobs_examined"]
+
+    def test_pass_that_started_a_job_is_not_quiet(self):
+        env = Environment()
+        ctl = SlurmController(env, Machine(4), SlurmConfig(backfill_interval=0))
+        ctl.submit(rigid(3, limit=100.0, name="hog"))
+        env.run(until=1.0)
+        head = ctl.submit(rigid(2, limit=100.0, name="head"))
+        short = ctl.submit(rigid(1, limit=10.0, name="short"))
+        # The FIFO pass stops at the blocked head; backfill starts the
+        # short job around its reservation.
+        ctl._scheduling_pass(None)
+        assert head.is_pending and short.is_pending
+        assert not skipped(ctl)
+        assert short.is_running
+        assert not skipped(ctl)  # the start moved the epoch
+
+    def test_queue_writes(self):
+        env, _, ctl, _, _ = quiet_setup()
+        extra = ctl.submit(rigid(2, limit=10.0, name="extra"))
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.cancel_job(extra)
+        assert not skipped(ctl)
+
+    def test_boost(self):
+        env, _, ctl, _, _ = quiet_setup()
+        extra = ctl.submit(rigid(2, limit=10.0, name="extra"))
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        extra.priority_boost = float("inf")
+        ctl.queue.reprioritize(extra, env.now)
+        assert not skipped(ctl)
+
+    def test_saturation_resort(self):
+        env, _, ctl, _, _ = quiet_setup(max_age=100.0)
+        env.run(until=50.0)
+        assert skipped(ctl)
+        env.run(until=150.0)  # the blocked job's age factor saturates
+        rebuilds = ctl.stats.queue_rebuilds
+        assert not skipped(ctl)
+        assert ctl.stats.queue_rebuilds == rebuilds + 1
+
+    def test_allocation(self):
+        env, machine, ctl, hog, blocked = quiet_setup()
+        ctl.shrink_job(hog, 2)
+        assert not skipped(ctl)
+        assert blocked.is_running
+
+    def test_node_failure_of_an_idle_node(self):
+        env, machine, ctl, _, _ = quiet_setup()
+        ctl.fail_node(3)
+        assert not skipped(ctl)
+
+    def test_deferred_repair(self):
+        flex = malleable(3, limit=100.0, name="hog", max_procs=3)
+        env, machine, ctl, hog, _ = quiet_setup(hog=flex)
+        ctl.fail_node(hog.nodes[0])  # held: a forced shrink is parked
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.recover_node(hog.nodes[0])  # deferred until the hog lets go
+        assert hog.nodes[0] in machine.nodes_of(hog.job_id)
+        assert not skipped(ctl)
+
+    def test_drain_and_resume(self):
+        env, machine, ctl, hog, _ = quiet_setup()
+        ctl.drain_node(hog.nodes[0])  # held: parked when released
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.resume_node(hog.nodes[0])
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.drain_node(3)  # idle: leaves the free pool at once
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.resume_node(3)
+        assert not skipped(ctl)
+
+    def test_time_limit_updates(self):
+        env, _, ctl, hog, blocked = quiet_setup()
+        ctl.update_time_limit(blocked, 5.0)  # pending: backfill's shadow test
+        assert not skipped(ctl)
+        assert skipped(ctl)
+        ctl.update_time_limit(hog, 50.0)  # running: its expected end
+        assert not skipped(ctl)
+
+    def test_running_index_writes_move_the_epoch_by_themselves(self):
+        # Each write to the expected-end index moves the epoch without
+        # the allocation change that usually comes with it.
+        env, machine, ctl, hog, _ = quiet_setup()
+        for write in (ctl._running_reposition, ctl._running_remove,
+                      ctl._running_insert):
+            epoch, pool = ctl.epoch(), machine.version
+            write(hog)
+            assert ctl.epoch() != epoch and machine.version == pool
+
+
+class TestDecisionReuse:
+    def test_repeated_no_action_decision_is_reused(self):
+        env, _, ctl = make_setup(nodes=4)
+        job = ctl.submit(malleable(4, max_procs=4))
+        env.run(until=0.1)
+        first = ctl.check_status(job, job.resize_request)
+        assert first.action is ResizeAction.NO_ACTION
+        assert ctl.check_status(job, job.resize_request) == first
+        assert ctl.stats.decisions_reused == 1
+        # Both calls are recorded: the trace does not show the reuse.
+        decisions = ctl.trace.of_kind(EventKind.RESIZE_DECISION)
+        assert len(decisions) == 2 and decisions[0].data == decisions[1].data
+
+    def test_reuse_is_keyed_on_epoch_size_and_request(self):
+        env, _, ctl = make_setup(nodes=4)
+        job = ctl.submit(malleable(4, max_procs=4))
+        env.run(until=0.1)
+        ctl.check_status(job, job.resize_request)
+        ctl.check_status(job, ResizeRequest(min_procs=1, max_procs=4,
+                                            preferred=4))
+        assert ctl.stats.decisions_reused == 0
+        ctl.submit(rigid(2))  # the queue changed
+        ctl.check_status(job, job.resize_request)
+        assert ctl.stats.decisions_reused == 0
+        ctl.shrink_job(job, 2)  # the size changed (and the free pool)
+        job.resize_request = ResizeRequest(min_procs=1, max_procs=2)
+        ctl.check_status(job, job.resize_request)
+        assert ctl.stats.decisions_reused == 0
+
+    def test_only_no_action_decisions_are_kept(self):
+        env, _, ctl = make_setup(nodes=8)
+        job = ctl.submit(malleable(4, max_procs=8))
+        env.run(until=0.1)
+        for _ in range(2):
+            decision = ctl.check_status(job, job.resize_request)
+            assert decision.action is ResizeAction.EXPAND
+        assert ctl.stats.decisions_reused == 0
+
+    def test_finished_job_forgets_its_decision(self):
+        env, _, ctl = make_setup(nodes=4)
+        job = ctl.submit(malleable(4, max_procs=4))
+        env.run(until=0.1)
+        ctl.check_status(job, job.resize_request)
+        ctl.finish_job(job)
+        assert ctl._no_action == {}
+
+
+class TestPolicyView:
+    def test_head_rule_sees_only_the_queue_head(self):
+        env, _, ctl = make_setup(nodes=4)
+        ctl.submit(rigid(4, name="hog"))
+        env.run(until=0.1)
+        for n in (3, 1, 2):
+            ctl.submit(rigid(n))
+        view = ctl.policy_view()
+        assert view.pending == (ctl.pending_jobs()[0],)
+        assert view.min_pending_nodes == 1
+
+    def test_any_rule_sees_the_whole_queue(self):
+        env = Environment()
+        ctl = SlurmController(env, Machine(4), SlurmConfig(
+            policy=PolicyConfig(shrink_beneficiary="any")))
+        ctl.submit(rigid(4, name="hog"))
+        env.run(until=0.1)
+        for n in (3, 1, 2):
+            ctl.submit(rigid(n))
+        pending = ctl.policy_view().pending
+        assert len(pending) == 3
+        assert list(pending) == ctl.pending_jobs(include_resizers=False)
 
 
 class TestBackfillThreadRestart:

@@ -12,7 +12,6 @@ spill exactly what the retained trace says happened.
 from __future__ import annotations
 
 from repro.api import Session
-from repro.api.observers import SessionObserver
 from repro.metrics.stream import StreamingTraceWriter, read_trace_lines, stream_digest
 from repro.metrics.trace import canonical_lines, text_digest
 
@@ -49,23 +48,13 @@ def test_table2_golden_digest_via_stream(tmp_path):
     assert len(read_trace_lines(path)) == _load("table2")["events"]
 
 
-class _StreamObserver(SessionObserver):
-    """Forwards every raw trace event to a spill writer, live."""
-
-    def __init__(self, writer: StreamingTraceWriter) -> None:
-        self.writer = writer
-
-    def on_event(self, event) -> None:
-        self.writer.on_event(event)
-
-
 def test_live_session_stream_matches_retained_trace(tmp_path):
     """A run observed mid-flight spills exactly the retained trace."""
     from repro.experiments.fig03_sync import run_fig03
 
     path = tmp_path / "live.spill"
     writer = StreamingTraceWriter(path)
-    session = Session().with_seed(GOLDEN_SEED).observe(_StreamObserver(writer))
+    session = Session().with_seed(GOLDEN_SEED).observe(writer)
     result = run_fig03(
         job_counts=FIG3_GOLDEN_COUNTS[:1], seed=GOLDEN_SEED, session=session
     )

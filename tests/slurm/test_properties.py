@@ -1,8 +1,9 @@
 """Property-based tests on the scheduling and policy components."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,13 @@ class TestPolicyProperties:
 # re-key their beneficiaries, and grants run through ``expand_protocol``,
 # so dependent resizers sit in the queue.  A fuzzed small
 # ``PriorityMaxAge`` makes the saturated-queue re-sort run too.
+#
+# The controller skips a backfill pass and reuses a no-action decision
+# while its scheduler state epoch holds; the oracle never does.  Operator
+# actions — drain and resume, and time-limit updates of pending and
+# running jobs — reach backfill without a free-pool change, so they are
+# fuzzed as well: a change the epoch missed would show as a diverging
+# trace.
 
 import random
 
@@ -221,6 +229,30 @@ fault_strategy = st.builds(
     repair_after=st.one_of(st.none(), st.floats(1.0, 300.0)),
 )
 
+@dataclass(frozen=True)
+class TraceOp:
+    """An operator action at ``time``."""
+
+    time: float
+    #: ``"drain"`` drains node ``target`` (resumed ``resume_after``
+    #: seconds later, if set); ``"limit_pending"`` and
+    #: ``"limit_running"`` scale the time limit of the pending or running
+    #: job ``target`` (modulo their count, in job-id order) by ``scale``.
+    kind: str
+    target: int
+    resume_after: Optional[float]
+    scale: float
+
+
+op_strategy = st.builds(
+    TraceOp,
+    time=st.floats(0.0, 500.0),
+    kind=st.sampled_from(("drain", "limit_pending", "limit_running")),
+    target=st.integers(0, DIFF_NODES - 1),
+    resume_after=st.one_of(st.none(), st.floats(1.0, 300.0)),
+    scale=st.floats(0.1, 3.0),
+)
+
 #: None keeps Slurm's 7-day PriorityMaxAge; the short ones saturate
 #: jobs that wait a few minutes.
 max_age_strategy = st.one_of(st.none(), st.floats(20.0, 600.0))
@@ -228,7 +260,8 @@ max_age_strategy = st.one_of(st.none(), st.floats(20.0, 600.0))
 
 def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
                          incremental: bool,
-                         max_age: Optional[float] = None) -> SlurmController:
+                         max_age: Optional[float] = None,
+                         ops: Sequence[TraceOp] = ()) -> SlurmController:
     """Replay a fuzzed trace through the controller or, with
     ``incremental=False``, through the resort-per-pass oracle."""
     env = Environment()
@@ -358,23 +391,48 @@ def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
         if machine.nodes[idx].state is NodeState.DOWN:
             ctl.recover_node(idx)
 
+    def operator():
+        from repro.cluster.node import NodeState
+
+        for op in sorted(ops, key=lambda o: o.time):
+            if op.time > env.now:
+                yield env.timeout(op.time - env.now)
+            if op.kind == "drain":
+                if machine.nodes[op.target].state is not NodeState.DOWN:
+                    ctl.drain_node(op.target)
+                    if op.resume_after is not None:
+                        env.process(resumer(op.target, op.resume_after))
+                continue
+            pool = ctl.pending if op.kind == "limit_pending" else ctl.running
+            if pool:
+                job = pool[sorted(pool)[op.target % len(pool)]]
+                ctl.update_time_limit(job, job.time_limit * op.scale)
+
+    def resumer(idx, delay):
+        yield env.timeout(delay)
+        ctl.resume_node(idx)
+
     env.process(submitter(), name="submitter")
     env.process(fault_driver(), name="faults")
+    env.process(operator(), name="operator")
     run_bounded(env, until=DIFF_HORIZON, max_events=500_000)
     assert observer.verify_final() > 0
     return ctl
 
 
-def _assert_modes_agree(jobs, faults, max_age=None) -> SlurmController:
+def _assert_modes_agree(jobs, faults, max_age=None, ops=()) -> SlurmController:
     """The controller and the oracle emit the same canonical trace;
     returns the controller."""
-    legacy = _replay_differential(jobs, faults, False, max_age)
-    incremental = _replay_differential(jobs, faults, True, max_age)
+    legacy = _replay_differential(jobs, faults, False, max_age, ops)
+    incremental = _replay_differential(jobs, faults, True, max_age, ops)
     # An oracle that is really the controller would compare it with
     # itself; only the controller writes a pending index.
     assert type(legacy) is ResortController
     assert type(incremental) is SlurmController
     assert legacy.stats.heap_pushes == 0 < incremental.stats.heap_pushes
+    # The oracle does every pass and every decision in full.
+    assert legacy.stats.backfill_skips == 0
+    assert legacy.stats.decisions_reused == 0
     assert canonical_lines(legacy.trace) == canonical_lines(incremental.trace)
     return incremental
 
@@ -396,6 +454,66 @@ class TestDifferentialSchedulerEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_identical_traces_with_faults(self, jobs, faults, max_age):
         _assert_modes_agree(jobs, faults, max_age)
+
+    @given(
+        jobs=st.lists(job_strategy, min_size=1, max_size=14),
+        faults=st.lists(fault_strategy, max_size=3),
+        ops=st.lists(op_strategy, min_size=1, max_size=6),
+        max_age=max_age_strategy,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identical_traces_with_operator_actions(self, jobs, faults, ops,
+                                                    max_age):
+        _assert_modes_agree(jobs, faults, max_age, ops)
+
+    @pytest.mark.parametrize("kind", ["limit_pending", "limit_running",
+                                      "drain", "resume"])
+    def test_operator_action_in_a_quiet_stretch_changes_the_schedule(
+            self, kind):
+        """Each operator action lands between two backfill passes with
+        nothing else changing, and lets the second pass start a job the
+        first could not, so a skipped pass would show in the trace."""
+        rigid = dict(moldable=False, cancel_after=None)
+        if kind.startswith("limit"):
+            # A 10-node job holds the machine until 210 s, a 12-node head
+            # waits for it, and a 2-node job with a 250 s limit cannot
+            # backfill before the head's reservation.
+            jobs = [TraceJob(10, 200.0, 1.05, 0.0, **rigid),
+                    TraceJob(12, 10.0, 1.05, 1.0, **rigid),
+                    TraceJob(2, 100.0, 2.5, 1.0, **rigid)]
+            # Shorten the waiting job's limit so it ends before the
+            # head's reservation, or stretch the running job's limit so
+            # the reservation moves past the waiting job's end.
+            ops = [TraceOp(65.0, kind, 1 if kind == "limit_pending" else 0,
+                           None, 0.3 if kind == "limit_pending" else 2.0)]
+            before = []
+            late = 3
+        else:
+            # Two 5-node jobs end at 105 s and 315 s.  The 7-node head's
+            # reservation is at the first end (2 idle nodes + 5); a drain
+            # of one of those 5 moves it to the second, which a 2-node
+            # 150 s job ends before.  The 6-node head's reservation
+            # leaves no node beside it while one of the 5 is drained;
+            # lifting the drain leaves one for a 1-node job.
+            head = 7 if kind == "drain" else 6
+            waiting = (TraceJob(2, 60.0, 2.5, 1.0, **rigid) if kind == "drain"
+                       else TraceJob(1, 300.0, 1.05, 1.0, **rigid))
+            jobs = [TraceJob(5, 100.0, 1.05, 0.0, **rigid),
+                    TraceJob(5, 300.0, 1.05, 0.0, **rigid),
+                    TraceJob(head, 10.0, 1.05, 1.0, **rigid),
+                    waiting]
+            if kind == "drain":
+                ops, before = [TraceOp(65.0, "drain", 0, None, 1.0)], []
+            else:
+                before = [TraceOp(5.0, "drain", 0, None, 1.0)]
+                ops = [TraceOp(5.0, "drain", 0, 60.0, 1.0)]
+            late = 4
+        with_op = _assert_modes_agree(jobs, [], ops=ops)
+        without = _replay_differential(jobs, [], True, ops=before)
+        assert with_op.stats.backfill_skips > 0
+        started = with_op.get_job(late).start_time
+        assert started < without.get_job(late).start_time
+        assert started % 30.0 == 0.0  # by a periodic backfill pass
 
     def test_fuzz_reaches_algorithm_1(self):
         """The generator reaches what the fuzz exists for: shrinks that
@@ -429,3 +547,12 @@ class TestDifferentialSchedulerEquivalence:
         # A resizer that timed out had sat in the queue.
         assert EventKind.RESIZE_ABORT in kinds
         assert ctl.stats.queue_rebuilds > 0
+        # Repeated decisions are reused (the oracle's zero counts are
+        # asserted on every replay).
+        assert ctl.stats.decisions_reused > 0
+        # A saturated queue re-sorts at every timestamp, which moves the
+        # epoch; at the default PriorityMaxAge the same jobs leave quiet
+        # backfill passes to skip.
+        calm = _assert_modes_agree(jobs, [])
+        assert calm.stats.backfill_skips > 0
+        assert calm.stats.decisions_reused > 0
