@@ -12,7 +12,12 @@ import os
 import sys
 
 # The suite is documented to run with PYTHONPATH=src; make collection
-# robust when a bare `pytest` is invoked without it.
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
+# robust when a bare `pytest` is invoked without it, and let the child
+# processes some tests start (`python -m repro ...`) import it too.
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))
+)
 
 pytest_plugins = ("repro.testing.pytest_plugin",)

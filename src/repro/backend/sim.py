@@ -89,7 +89,7 @@ class SimBackend(ExecutionBackend):
         supports_resize=True, supports_faults=True, clock="sim"
     )
     #: Sim seconds between accounting polls while draining (cheap: the
-    #: event calendar is what actually advances time).
+    #: event heap is what actually advances time).
     poll_interval = 1.0
 
     def __init__(self, session=None) -> None:

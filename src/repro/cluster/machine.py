@@ -102,6 +102,10 @@ class Machine:
         """Whether ``count`` free nodes are currently available."""
         return 0 <= count <= len(self._free)
 
+    def all_free(self, node_indices: Sequence[int]) -> bool:
+        """Whether every given node is in the free pool."""
+        return self._free.issuperset(node_indices)
+
     def nodes_of(self, job_id: int) -> Tuple[int, ...]:
         """Indices of the nodes currently owned by ``job_id`` (sorted)."""
         return tuple(self._by_job.get(job_id, ()))

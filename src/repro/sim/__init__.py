@@ -12,10 +12,11 @@ Public surface::
     env.run(until=...)        # drive the clock
 
 plus :class:`RandomStreams` for named reproducible randomness and
-:class:`Store`/:class:`Resource` for inter-process coordination.
+:class:`Store`/:class:`Resource` for inter-process coordination.  The
+pending events live in one ``(time, priority, serial, event)`` heap owned
+by :class:`Environment` (see :mod:`repro.sim.engine`).
 """
 
-from repro.sim.calendar import EventCalendar
 from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.sim.process import Interrupt, Process
@@ -30,7 +31,6 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "EventCalendar",
     "Interrupt",
     "Process",
     "RandomStreams",

@@ -1,9 +1,13 @@
 """The discrete-event simulation engine.
 
-:class:`Environment` owns the simulation clock and the pending-event
-calendar (:class:`repro.sim.calendar.EventCalendar`).  Events scheduled
-at the same timestamp are processed in (priority, insertion order), which
-makes every simulation fully deterministic.
+:class:`Environment` owns the simulation clock and one binary heap of
+pending events, each entry a ``(time, priority, serial, event)`` tuple
+(the layout SimPy uses).  Events scheduled at the same timestamp are
+processed in (priority, insertion order): the serial is a per-environment
+push counter, so ties never reach the event itself and every simulation
+is fully deterministic.  :meth:`Environment.run` drains the heap in one
+local loop; :meth:`Environment.step` processes a single event for callers
+that bound or interleave execution.
 
 Everything above this module runs as generator-based processes on one
 :class:`Environment`: each job's :class:`repro.runtime.nanos.NanosRuntime`
@@ -20,10 +24,10 @@ attributable to the resize decisions alone.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.calendar import EventCalendar
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process
 
@@ -39,13 +43,14 @@ class StopSimulation(Exception):
 class Environment:
     """A deterministic discrete-event simulation environment."""
 
-    __slots__ = ("_now", "_queue", "_active_process", "_events_processed")
+    __slots__ = ("_now", "_heap", "_serial", "_active_process")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = EventCalendar()
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        #: Entries pushed so far; the next entry's serial.
+        self._serial = 0
         self._active_process: Optional[Process] = None
-        self._events_processed = 0
 
     # -- clock ------------------------------------------------------------
     @property
@@ -55,8 +60,12 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Total events processed so far (benchmark instrumentation)."""
-        return self._events_processed
+        """Total events processed so far (benchmark instrumentation).
+
+        An event counts from the moment it leaves the heap, so this is
+        the number of pushes minus the entries still pending.
+        """
+        return self._serial - len(self._heap)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -68,19 +77,25 @@ class Environment:
         """Enqueue a triggered event ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self._queue.push(self._now + delay, priority, event)
+        self._push(self._now + delay, priority, event)
+
+    def _push(self, at: float, priority: int, event: Event) -> None:
+        """Add ``event``'s heap entry at time ``at`` (no checks)."""
+        serial = self._serial
+        self._serial = serial + 1
+        heappush(self._heap, (at, priority, serial, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")
 
     def step(self) -> None:
         """Process the next event, advancing the clock."""
         try:
-            self._now, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._heap)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
-        self._events_processed += 1
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - double-processing guard
@@ -90,8 +105,7 @@ class Environment:
 
         if not event._ok and not event._defused:
             # Nobody handled the failure: crash the simulation loudly.
-            exc = event._value
-            raise exc
+            raise event._value
 
     # -- running -------------------------------------------------------------
     def run(self, until: Any = None) -> Any:
@@ -120,20 +134,28 @@ class Environment:
                 return stop.value if stop.ok else None
             stop.callbacks.append(_halt)
 
+        # The body of step(), inlined: one frame for the whole drain.
+        heap = self._heap
         try:
-            while True:
-                self.step()
+            while heap:
+                self._now, _, _, event = heappop(heap)
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:  # pragma: no cover - see step()
+                    raise SimulationError(f"{event!r} processed twice")
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as marker:
             ev: Event = marker.args[0]
             if not ev.ok:
                 raise ev.value
             return ev.value
-        except EmptySchedule:
-            if stop is not None and not stop.triggered:
-                raise SimulationError(
-                    "simulation ran out of events before the 'until' condition"
-                ) from None
-            return None
+        if stop is not None and not stop.triggered:
+            raise SimulationError(
+                "simulation ran out of events before the 'until' condition"
+            )
+        return None
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:

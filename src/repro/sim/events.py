@@ -127,11 +127,14 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: a timeout is born triggered.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env._push(env._now + delay, NORMAL, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout delay={self.delay}>"

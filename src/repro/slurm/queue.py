@@ -18,9 +18,10 @@ view takes its first non-resizer (under the default head-only shrink
 rule) or a tuple copy of it.  Starting a job is the only queue write a
 pass makes.  A sorted multiset of the queued non-resizer sizes, each
 recorded at insert, answers Algorithm 1's "some pending job fits" test
-in O(1) (:attr:`PendingQueue.min_pending_nodes`).  Every write, the
-saturation re-sort included, bumps :attr:`PendingQueue.version`, the
-queue's part of the controller's scheduler state epoch.
+in O(1) (:attr:`PendingQueue.min_pending_nodes`).  Every write, and a
+saturation re-sort that changes the order, bumps
+:attr:`PendingQueue.version`, the queue's part of the controller's
+scheduler state epoch.
 
 Saturation (a job pending longer than ``PriorityMaxAge``, 7 days by
 default) breaks the time-invariance: a saturated job's priority stops
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import is_not
 from typing import Dict, List, Optional, Tuple
 
 from repro.slurm.job import Job
@@ -149,7 +151,7 @@ class PendingQueue:
         #: trustworthy and the queue re-keys per distinct timestamp.
         self._stale = False
         self._fresh_at = float("-inf")
-        #: Bumped by every insert, removal and re-sort.
+        #: Bumped by every insert, removal and order-changing re-sort.
         self.version = 0
 
     def __len__(self) -> int:
@@ -277,9 +279,13 @@ class PendingQueue:
             ):
                 self._stale = True
         keyed.sort()  # keys are unique, so jobs are never compared
+        jobs = [job for _, job in keyed]
+        # Readers see only the order, so a re-sort that keeps it is no
+        # change to the scheduler state epoch.
+        if any(map(is_not, jobs, self._jobs)):
+            self.version += 1
         self._keys[:] = [key for key, _ in keyed]
-        self._jobs[:] = [job for _, job in keyed]
+        self._jobs[:] = jobs
         self._key_of = {job.job_id: key for key, job in keyed}
         self._fresh_at = now
         self.stats.queue_rebuilds += 1
-        self.version += 1

@@ -54,24 +54,26 @@ def expand_protocol(
     deadline = env.timeout(timeout)
     yield env.any_of([started, deadline])
 
-    if not started.triggered or resizer.job_id not in controller.running:
+    if started.triggered and resizer.job_id in controller.running:
+        detached = controller.detach_all_nodes(resizer)
+        controller.cancel_job(resizer)
+        if controller.machine.all_free(detached):
+            controller.grow_job(job, detached)
+            return controller.machine.nodes_of(job.job_id)
+        # An operator drained one of the resizer's nodes, so the release
+        # parked it instead of freeing it: abort.
+    elif not resizer.is_terminal:
         # The scheduler gave the nodes to someone else — or a node failure
         # killed the resizer between its start and this resumption: abort.
-        if not resizer.is_terminal:
-            controller.cancel_job(resizer)
-        controller.trace.record(
-            env.now,
-            EventKind.RESIZE_ABORT,
-            job.job_id,
-            wanted=target_nodes,
-            resizer=resizer.job_id,
-        )
-        return None
-
-    detached = controller.detach_all_nodes(resizer)
-    controller.cancel_job(resizer)
-    controller.grow_job(job, detached)
-    return controller.machine.nodes_of(job.job_id)
+        controller.cancel_job(resizer)
+    controller.trace.record(
+        env.now,
+        EventKind.RESIZE_ABORT,
+        job.job_id,
+        wanted=target_nodes,
+        resizer=resizer.job_id,
+    )
+    return None
 
 
 def shrink_protocol(

@@ -1,7 +1,7 @@
 """Scale budgets: the simulator must *stay* the fast path.
 
 Pins throughput (events/sec), scheduler work (comparisons-per-pass) and
-memory (peak RSS) at bench scale, so a regression in the engine calendar,
+memory (peak RSS) at bench scale, so a regression in the engine's event heap,
 the incremental queue or the trace layer fails loudly in CI instead of
 silently re-inflating ``repro bench sched``.
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Machine
+from repro.cluster import Machine, NodeState
 from repro.core import ResizeAction, ResizeRequest
 from repro.errors import SchedulerError
 from repro.metrics import EventKind
@@ -18,7 +18,7 @@ from repro.slurm import (
     expand_protocol,
     shrink_protocol,
 )
-from repro.testing import run_bounded
+from repro.testing import InvariantObserver, run_bounded
 
 
 def make_setup(nodes=16):
@@ -232,6 +232,45 @@ class TestExpandProtocol:
         # The resizer was cancelled and no stray allocation remains.
         assert machine.used_count == 8
 
+    def test_drain_of_a_started_resizer_aborts_the_expansion(self):
+        """An operator drains a node of the resizer as it starts: the
+        release parks that node, so the expansion aborts instead of
+        attaching a node that is no longer free."""
+        env, machine, ctl = make_setup(nodes=8)
+        observer = InvariantObserver(controller=ctl)
+        ctl.trace.subscribe(observer.on_event)
+        job = ctl.submit(malleable(2))
+        env.run(until=0.1)
+        original = job.nodes
+        results, drained = [], []
+
+        def run_expand():
+            results.append((yield from expand_protocol(ctl, job, 4)))
+            results.append(job.nodes)
+            yield env.timeout(10.0)
+            ctl.finish_job(job)
+
+        def operator():
+            resizer = next(j for j in ctl.pending.values() if j.is_resizer)
+            yield ctl.started_event(resizer)
+            drained.append(resizer.nodes[0])
+            ctl.drain_node(drained[0])
+
+        env.process(run_expand())
+        env.process(operator())
+        env.run()
+        assert results == [None, original]
+        assert job.state is JobState.COMPLETED
+        (abort,) = ctl.trace.of_kind(EventKind.RESIZE_ABORT)
+        resizer = next(j for j in ctl.finished if j.is_resizer)
+        assert abort.data == {"wanted": 4, "resizer": resizer.job_id}
+        assert resizer.state is JobState.CANCELLED
+        # The drained node stays out of the pool; the rest is free.
+        assert machine.nodes[drained[0]].state is NodeState.DRAINING
+        assert machine.unavailable_count == 1
+        assert machine.free_count == 7
+        assert observer.checks > 0
+
     def test_expand_invalid_target_rejected(self):
         env, _, ctl = make_setup()
         job = ctl.submit(malleable(4))
@@ -409,14 +448,30 @@ class TestStateEpoch:
         ctl.queue.reprioritize(extra, env.now)
         assert not skipped(ctl)
 
-    def test_saturation_resort(self):
+    def test_saturation_resort_that_keeps_the_order(self):
         env, _, ctl, _, _ = quiet_setup(max_age=100.0)
         env.run(until=50.0)
         assert skipped(ctl)
         env.run(until=150.0)  # the blocked job's age factor saturates
         rebuilds = ctl.stats.queue_rebuilds
-        assert not skipped(ctl)
+        assert skipped(ctl)  # a queue of one re-sorts to the same order
         assert ctl.stats.queue_rebuilds == rebuilds + 1
+
+    def test_saturation_resort(self):
+        """A saturation re-sort that changes the order moves the epoch."""
+        env, _, ctl, _, blocked = quiet_setup(max_age=100.0)
+        env.run(until=40.0)
+        # Larger and younger: behind the blocked job until that one's
+        # age factor saturates (t=101), ahead of it from t=115 on.
+        big = ctl.submit(rigid(3, limit=10.0, name="big"))
+        assert not skipped(ctl)
+        env.run(until=110.0)
+        rebuilds = ctl.stats.queue_rebuilds
+        assert skipped(ctl)
+        assert ctl.stats.queue_rebuilds == rebuilds + 1
+        env.run(until=120.0)
+        assert not skipped(ctl)
+        assert ctl.queue.ordered(env.now) == [big, blocked]
 
     def test_allocation(self):
         env, machine, ctl, hog, blocked = quiet_setup()
