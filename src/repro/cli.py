@@ -2,30 +2,32 @@
 
 Usage::
 
+    python -m repro --help              # the verbs below and the artifact form
     python -m repro list                # what can be reproduced
-    python -m repro fig1                # one figure
-    python -m repro fig10 fig11        # several (one shared simulation)
-    python -m repro all --csv out/      # everything + CSV dumps
-    python -m repro fig3 --seed 7       # reseed the stochastic workloads
-    python -m repro run --workload my.swf --flexible --seed 7
+    python -m repro fig10 fig11 --csv out/
+                                        # artifacts (one shared simulation)
+    python -m repro all --seed 7        # every artifact, reseeded
+    python -m repro run --workload my.swf --flexible
                                         # replay a user-supplied SWF log
-    python -m repro backends            # execution backends + availability
-    python -m repro run --workload my.swf --backend slurm --time-scale 0.01
-                                        # same replay on a real scheduler
     python -m repro sweep --artifact fig3 --seeds 5 --jobs 4
                                         # seed ensemble with 95% CIs
-    python -m repro sweep --workload fs --num-jobs 25,50 --policies default,deepest
-                                        # grid sweep over workload axes
-    python -m repro bench --quick       # emit BENCH_sweep.json
-    python -m repro bench sched         # scheduler-scale bench -> BENCH_sched.json
+    python -m repro bench --quick       # BENCH_sweep.json ('bench sched':
+                                        # scheduler scale -> BENCH_sched.json)
     python -m repro cache ls            # inspect the on-disk result store
     python -m repro serve               # scheduler-as-a-service HTTP API
     python -m repro loadgen --quick     # benchmark a running `repro serve`
+    python -m repro resilience --quick  # C/R vs DMR under node failures
+    python -m repro trace fig1 --quick  # Perfetto trace of one scenario
+    python -m repro backends            # execution backends + availability
 
-Artifacts are served from the declarative :mod:`repro.api` registry —
-each ``experiments`` module registers its producers with
-``@artifact(...)`` and this module only iterates the registry.  Sweeps
-and benches go through :mod:`repro.sweep`; rendered artifacts and sweep
+:func:`build_parser` is the one command tree: a subparser per verb,
+bound to its handler with ``set_defaults(handler=...)``, with the
+options several verbs share defined once as parent parsers and checked
+by the ``type=`` converters below.  Artifact names come from the
+declarative :mod:`repro.api` registry, not from the tree, so rendering
+artifacts is the default rather than a verb: :func:`parse_command`
+sends a command line whose first word is not a verb to it.  Sweeps and
+benches go through :mod:`repro.sweep`; rendered artifacts and sweep
 cells are cached in the :mod:`repro.store` result store (disable with
 ``--no-cache``).
 """
@@ -34,94 +36,358 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.api.registry import ArtifactRegistry, builtin_registry
 
+#: The verbs of the tree; any other first word names artifacts.
+VERBS = ("run", "sweep", "bench", "cache", "serve", "loadgen",
+         "resilience", "trace", "backends")
+#: The hidden subcommand :func:`parse_command` routes artifact names to.
+_ARTIFACTS = "artifacts"
+
+
+# -- the command tree ---------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _list_of(cast):
+    """Argparse type: a non-empty comma-separated list of ``cast`` values."""
+
+    def parse(text: str) -> list:
+        values = [cast(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    return parse
+
+
+def _backend_name(text: str) -> str:
+    from repro.backend import backend_names
+
+    if text not in backend_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown backend {text!r}; see 'repro backends'")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the tree: usage errors are one stderr line, and
+    verbs match case-insensitively, as artifact names do."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse has no public hook for how subcommand names match.
+        if action.nargs == argparse.PARSER:
+            arg_strings = [arg_strings[0].lower(), *arg_strings[1:]]
+        return super()._get_values(action, arg_strings)
+
+
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option several verbs share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    store = _option("--store", metavar="DIR", help="result-store directory "
+                    "(default: $REPRO_CACHE_DIR or .repro-cache)")
+    no_cache = _option("--no-cache", action="store_true",
+                       help="bypass the on-disk result store")
+    seed = _option("--seed", type=int, metavar="N",
+                   help="base seed (default 2017)")
+    quiet = _option("--quiet", action="store_true",
+                    help="suppress progress lines on stderr")
+    csv = _option("--csv", metavar="DIR",
+                  help="also write the CSV form into DIR")
+    backend = _option("--backend", type=_backend_name, default="sim",
+                      metavar="NAME", help="execution backend "
+                      "(default: sim; see 'repro backends')")
+    time_scale = _option("--time-scale", type=_positive_float, metavar="X",
+                         help="compress workload seconds onto the backend "
+                         "clock by X (wall-clock backends only; 0.01 turns "
+                         "a 100s trace into 1s)")
+    jobs = _option("--jobs", type=_positive_int, default=1, metavar="N",
+                   help="worker processes (default 1: serial)")
+    base_seed = _option("--base-seed", type=int, metavar="S",
+                        help="first seed of the ensemble (default 2017)")
+    # serve and loadgen resolve None to the service's own defaults, so
+    # the CLI need not import repro.serve before a verb asks for it.
+    address = _option("--host", metavar="ADDR",
+                      help="server address (default 127.0.0.1)")
+    address.add_argument("--port", type=int, metavar="N",
+                         help="server port (default 8177; 0 lets "
+                         "'repro serve' pick an ephemeral port)")
+
+    root = _Parser(
         prog="repro",
-        description=(
-            "Regenerate the evaluation of 'Efficient Scalable Computing "
-            "through Flexible Applications and Adaptive Workloads' "
-            "(Iserte et al., ICPP 2017)."
-        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Regenerate the evaluation of 'Efficient Scalable "
+        "Computing through Flexible\nApplications and Adaptive Workloads' "
+        "(Iserte et al., ICPP 2017).",
+        epilog="artifact form (a first word that is not a verb):\n"
+        "  repro ARTIFACT [ARTIFACT ...] [options]\n"
+        "  renders figures and tables by name: 'repro list' names them, "
+        "'repro all'\n  renders every one, 'repro list --help' shows "
+        "the options.",
     )
-    parser.add_argument(
-        "artifacts",
-        nargs="+",
-        metavar="ARTIFACT",
-        help="'list', 'all', 'run', or artifact names (see 'list')",
+    verbs = root.add_subparsers(title="verbs", metavar="VERB")
+
+    artifacts = verbs.add_parser(
+        _ARTIFACTS, prog="repro", parents=[csv, seed, store, no_cache],
+        description="Render the paper's figures and tables by name.",
     )
-    parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
-        help="also write <artifact>.csv files into DIR (where supported)",
+    artifacts.add_argument("artifacts", nargs="+", metavar="ARTIFACT",
+                           help="'list', 'all', or artifact names "
+                           "(see 'list')")
+    artifacts.set_defaults(handler=_render_artifacts)
+
+    run = verbs.add_parser(
+        "run", parents=[seed, csv, store, no_cache, backend, time_scale],
+        help="replay a user-supplied SWF workload",
+        description="Replay a Standard Workload Format log on the "
+        "simulator or a wall-clock backend.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="base seed for stochastic workloads (default: the paper's 2017)",
+    run.add_argument("--workload", metavar="FILE.swf", required=True,
+                     help="Standard Workload Format log to execute")
+    rendition = run.add_mutually_exclusive_group()
+    rendition.add_argument("--flexible", action="store_true",
+                           help="run the malleable rendition (default)")
+    rendition.add_argument("--rigid", action="store_true",
+                           help="run the rigid rendition instead")
+    run.add_argument("--nodes", type=_positive_int, metavar="N",
+                     help="cluster size (default: the 65-node production "
+                     "testbed, grown to fit the largest job)")
+    run.set_defaults(handler=_run_user_workload)
+
+    sweep = verbs.add_parser(
+        "sweep", parents=[store, no_cache, quiet, backend, jobs, base_seed],
+        help="run a parameter grid with seed-ensemble statistics",
+        description="Run a parameter grid as independent cells with "
+        "seed-ensemble statistics (mean, median, stdev, 95% CI).",
     )
-    run_opts = parser.add_argument_group(
-        "run mode", "replay a user-supplied workload: repro run --workload FILE"
+    sweep.add_argument("--artifact", action="append", metavar="NAME",
+                       help="ensemble a registered artifact (repeatable)")
+    sweep.add_argument("--workload", action="append", metavar="FAMILY",
+                       choices=("fs", "realapps"),
+                       help="sweep a workload family instead (repeatable)")
+    sweep.add_argument("--num-jobs", type=_list_of(_positive_int),
+                       metavar="N1,N2,...", help="workload sizes axis")
+    sweep.add_argument("--nodes", type=_list_of(_positive_int),
+                       metavar="N1,N2,...", help="cluster sizes axis")
+    sweep.add_argument("--policies", type=_list_of(str), metavar="P1,P2,...",
+                       help="policy presets axis (default, deepest, literal)")
+    sweep.add_argument("--seeds", type=_positive_int, default=5, metavar="K",
+                       help="ensemble width: K consecutive seeds (default 5)")
+    sweep.add_argument("--async", dest="async_mode", action="store_true",
+                       help="asynchronous DMR mode for workload cells")
+    sweep.add_argument("--csv", nargs="?", const="-", metavar="DIR",
+                       help="emit aggregated CSV (bare: to stdout; "
+                       "DIR: into DIR/sweep.csv)")
+    sweep.add_argument("--trace", metavar="FILE",
+                       help="collect per-cell telemetry spans and export "
+                       "them as a Perfetto-loadable Chrome trace to FILE")
+    sweep.set_defaults(handler=_sweep_mode)
+
+    bench = verbs.add_parser(
+        "bench", parents=[store, no_cache, quiet, jobs, base_seed],
+        help="seed-ensemble bench -> BENCH_sweep.json "
+        "('bench sched': scheduler scale)",
+        description="Seed-ensemble bench of the headline artifacts "
+        "(fig1/fig3/table2); emits BENCH_sweep.json.",
     )
-    run_opts.add_argument(
-        "--workload",
-        metavar="FILE.swf",
-        default=None,
-        help="Standard Workload Format log to execute",
+    bench.add_argument("--quick", action="store_true",
+                       help="small ensemble for CI smoke runs")
+    bench.add_argument("--seeds", type=_positive_int, metavar="K",
+                       help="ensemble width (default: 5, or 2 with --quick)")
+    bench.add_argument("--out", metavar="FILE",
+                       help="output path (default BENCH_sweep.json)")
+    bench.set_defaults(handler=_bench_mode)
+    # sched's --quick, --quiet and --out default to bench's values, so
+    # 'bench --quick sched' and 'bench sched --quick' agree.
+    sched = bench.add_subparsers(title="benches").add_parser(
+        "sched", parents=[seed],
+        help="scheduler-scale bench -> BENCH_sched.json",
+        description="Scheduler-scale bench: replay large synthetic "
+        "Feitelson/SWF traces through the scheduler and, as the legacy "
+        "rows, through the resort-per-pass oracle in repro.testing; "
+        "emits BENCH_sched.json with pass counts, wall-clock and the "
+        "incremental-vs-legacy comparison-work ratio.",
     )
-    run_opts.add_argument(
-        "--flexible",
-        action="store_true",
-        help="run the malleable rendition (default)",
+    sched.add_argument("--quick", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="single small trace for CI smoke runs")
+    sched.add_argument("--sizes", type=_list_of(_positive_int),
+                       metavar="N1,N2,...",
+                       help="trace sizes in jobs (default 5000,20000,50000; "
+                       "--quick: 2000)")
+    sched.add_argument("--no-legacy", action="store_true",
+                       help="skip the legacy (resort-per-pass oracle) "
+                       "replays")
+    sched.add_argument("--legacy-cap", type=int, metavar="N",
+                       help="largest trace replayed with the "
+                       "resort-per-pass oracle (default 20000)")
+    sched.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
+                       help="output path (default BENCH_sched.json)")
+    sched.add_argument("--check", action="store_true",
+                       help="re-run the smallest committed size and compare "
+                       "the deterministic metrics against the committed "
+                       "BENCH_sched.json (timestamps/wall-clock/RSS are "
+                       "ignored); writes nothing")
+    sched.add_argument("--profile", metavar="FILE",
+                       help="dump cProfile pstats of the largest "
+                       "incremental replay to FILE")
+    sched.add_argument("--trace", metavar="FILE",
+                       help="export telemetry spans of the largest "
+                       "incremental replay as a Perfetto-loadable "
+                       "Chrome trace to FILE")
+    sched.add_argument("--quiet", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="suppress progress lines on stderr")
+    sched.set_defaults(handler=_bench_sched_mode)
+
+    cache = verbs.add_parser(
+        "cache", help="inspect or empty the on-disk result store",
+        description="Inspect or empty the on-disk result store.",
     )
-    run_opts.add_argument(
-        "--rigid",
-        action="store_true",
-        help="run the rigid rendition instead",
+    cache_verbs = cache.add_subparsers(required=True)
+    ls = cache_verbs.add_parser("ls", parents=[store],
+                                help="list the stored records")
+    ls.add_argument("--json", action="store_true",
+                    help="emit the inventory as JSON (stable ordering; "
+                    "includes hit/miss/put stats)")
+    ls.set_defaults(handler=_cache_ls)
+    cache_verbs.add_parser(
+        "clear", parents=[store], help="remove every stored record",
+    ).set_defaults(handler=_cache_clear)
+
+    serve = verbs.add_parser(
+        "serve", parents=[address, store, no_cache, backend, time_scale],
+        help="run the scheduler-as-a-service HTTP server",
+        description="Run the scheduler-as-a-service HTTP server "
+        "(REST/JSON API with live SSE event streams).",
     )
-    run_opts.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cluster size (default: the 65-node production testbed, "
-        "grown to fit the largest job)",
+    serve.add_argument("--workers", type=_positive_int, metavar="N",
+                       help="simulation worker threads (default 2)")
+    serve.add_argument("--queue-limit", type=_positive_int, metavar="N",
+                       help="max queued submissions before 429 (default 64)")
+    serve.set_defaults(handler=_serve_mode)
+
+    loadgen = verbs.add_parser(
+        "loadgen", parents=[address, seed],
+        help="benchmark a running 'repro serve'",
+        description="Benchmark a running `repro serve` with concurrent "
+        "workload submissions and SSE event streams.",
     )
-    run_opts.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="execution backend (default: sim; see 'repro backends')",
+    loadgen.add_argument("--clients", type=_positive_int, metavar="N",
+                         help="concurrent client sessions (default 4)")
+    loadgen.add_argument("--requests", type=_positive_int, metavar="N",
+                         help="total workload submissions (default 12)")
+    loadgen.add_argument("--num-jobs", type=_positive_int, metavar="N",
+                         help="jobs per submitted workload (default 6)")
+    loadgen.add_argument("--quick", action="store_true",
+                         help="small CI-sized run (2 clients, 4 requests)")
+    loadgen.add_argument("--check", action="store_true",
+                         help="exit non-zero unless throughput is non-zero, "
+                         "every job completed and the drain was clean")
+    loadgen.add_argument("--out", metavar="PATH", default="BENCH_serve.json",
+                         help="report path (default BENCH_serve.json)")
+    loadgen.set_defaults(handler=_loadgen_mode)
+
+    resilience = verbs.add_parser(
+        "resilience", parents=[seed, csv],
+        help="C/R vs DMR under MTBF-sampled node failures",
+        description="C/R vs DMR under MTBF-sampled node failures: the same "
+        "fault plan replays against both mechanisms; reports completed "
+        "work and makespan per MTBF (every run invariant-checked). "
+        "Like 'repro sweep'/'bench', this mode always re-simulates; the "
+        "registry form of the same artifact (via 'repro all', or the "
+        "'resilience' name in an artifact list) runs the default MTBF "
+        "sweep through the cached-artifact path instead.",
     )
-    run_opts.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        metavar="X",
-        help="compress workload seconds onto the backend clock by X "
-        "(wall-clock backends only; 0.01 turns a 100s trace into 1s)",
+    resilience.add_argument("--mtbf", type=_list_of(_positive_float),
+                            metavar="S1,S2,...",
+                            help="cluster-wide MTBF values in seconds "
+                            "(default 2000,1000,500; --quick: 500)")
+    resilience.add_argument("--quick", action="store_true",
+                            help="small workload + single MTBF for CI "
+                            "smoke runs")
+    resilience.add_argument("--num-jobs", type=_positive_int, metavar="N",
+                            help="workload size (default 20; --quick: 14)")
+    resilience.add_argument("--repair-time", type=_positive_float,
+                            metavar="S",
+                            help="node repair time in seconds (default 600)")
+    resilience.add_argument("--check", action="store_true",
+                            help="exit non-zero unless DMR completed "
+                            "strictly more work than C/R at the harshest "
+                            "MTBF")
+    resilience.set_defaults(handler=_resilience_mode)
+
+    trace = verbs.add_parser(
+        "trace", parents=[seed],
+        help="export one scenario's spans as a Perfetto trace",
+        description="Run one telemetry-enabled scenario and export its "
+        "spans plus the per-job timeline as a Chrome trace-event JSON "
+        "file, loadable at https://ui.perfetto.dev.",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result store (always re-simulate)",
+    trace.add_argument("scenario", nargs="?", default="fig1",
+                       help="named scenario (default: fig1 — the DMR "
+                       "rendition of the Section VIII testbed under an "
+                       "MTBF-sampled fault plan, so scheduler passes, "
+                       "reconfigurations and fault injections all appear)")
+    trace.add_argument("--workload", choices=("fs", "realapps"),
+                       default="fs", help="workload family (default fs)")
+    trace.add_argument("--num-jobs", type=_positive_int, metavar="N",
+                       help="workload size (default 20; 14 with --quick)")
+    trace.add_argument("--mtbf", type=_positive_float, metavar="S",
+                       help="cluster-wide MTBF of the injected fault plan "
+                       "in seconds (default 500)")
+    trace.add_argument("--max-spans", type=_positive_int, metavar="N",
+                       help="span-buffer bound (default 100000; overflow "
+                       "is counted, not fatal)")
+    trace.add_argument("--out", metavar="FILE", default="trace.json",
+                       help="output path (default trace.json)")
+    trace.add_argument("--quick", action="store_true",
+                       help="CI-sized run (smaller workload)")
+    trace.set_defaults(handler=_trace_mode)
+
+    backends = verbs.add_parser(
+        "backends", help="list the execution backends and availability",
+        description="List the registered execution backends with their "
+        "capability flags and an availability probe (e.g. whether "
+        "sbatch is on PATH).",
     )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="result-store directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    return parser
+    backends.add_argument("--json", action="store_true",
+                          help="emit the listing as JSON")
+    backends.set_defaults(handler=_backends_mode)
+    return root
 
 
 def _print_listing(registry: ArtifactRegistry) -> None:
@@ -134,43 +400,29 @@ def _print_listing(registry: ArtifactRegistry) -> None:
           "to replay your own workload")
 
 
-def _emit_csv(registry: ArtifactRegistry, name: str, seed: Optional[int],
-              directory: str) -> None:
+def _write_csv(directory: str, name: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.csv")
     with open(path, "w") as fh:
-        fh.write(registry.render_csv(name, seed=seed))
+        fh.write(text)
     print(f"[csv written to {path}]")
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options the command line set, as keyword arguments;
+    the callee's own defaults stand in for the rest."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _run_user_workload(args: argparse.Namespace) -> int:
     """The ``repro run`` mode: execute a user-supplied SWF workload."""
     from repro.api import Session, SimulationTimeout
-    from repro.backend import backend_names
     from repro.cluster.configs import ClusterConfig
     from repro.errors import BackendError, WorkloadError
     from repro.metrics.report import format_csv, format_table
     from repro.workload.swf import parse_swf
 
-    if args.workload is None:
-        print("run mode needs --workload FILE.swf", file=sys.stderr)
-        return 2
-    if args.flexible and args.rigid:
-        print("--flexible and --rigid are mutually exclusive", file=sys.stderr)
-        return 2
-    backend = args.backend if args.backend is not None else "sim"
-    if backend not in backend_names():
-        print(f"unknown backend {backend!r}; see 'repro backends'",
-              file=sys.stderr)
-        return 2
-    if args.time_scale is not None and args.time_scale <= 0:
-        print("--time-scale must be positive", file=sys.stderr)
-        return 2
-    if args.time_scale is not None and backend == "sim":
-        print("--time-scale applies to wall-clock backends; "
-              "the simulator's virtual seconds are already free",
-              file=sys.stderr)
-        return 2
     try:
         with open(args.workload) as fh:
             text = fh.read()
@@ -187,11 +439,9 @@ def _run_user_workload(args: argparse.Namespace) -> int:
     largest = max(js.submit_nodes for js in spec.jobs)
     num_nodes = args.nodes if args.nodes is not None else max(65, largest)
     session = Session(cluster=ClusterConfig(num_nodes=num_nodes))
-    if backend != "sim":
-        options = {}
-        if args.time_scale is not None:
-            options["time_scale"] = args.time_scale
-        session = session.with_backend(backend, **options)
+    if args.backend != "sim":
+        session = session.with_backend(args.backend,
+                                       **_given(args, "time_scale"))
     if args.seed is not None:
         # SWF logs pin every job's size, runtime and arrival, so a replay
         # is deterministic; keep the flag accepted (scripts pass it
@@ -215,32 +465,18 @@ def _run_user_workload(args: argparse.Namespace) -> int:
         title += f" [backend={result.backend}]"
     print(format_table(headers, cells, title=title))
     if args.csv is not None:
-        os.makedirs(args.csv, exist_ok=True)
-        path = os.path.join(args.csv, "run.csv")
-        with open(path, "w") as fh:
-            fh.write(format_csv(
-                ["jobs", "rendition", "makespan_s", "avg_wait_s",
-                 "avg_exec_s", "utilization_pct", "resizes"],
-                cells,
-            ))
-        print(f"[csv written to {path}]")
+        _write_csv(args.csv, "run", format_csv(
+            ["jobs", "rendition", "makespan_s", "avg_wait_s",
+             "avg_exec_s", "utilization_pct", "resizes"],
+            cells,
+        ))
     return 0
 
 
 # -- backends mode ------------------------------------------------------------
 
-def _backends_mode(argv: List[str]) -> int:
+def _backends_mode(args: argparse.Namespace) -> int:
     """``repro backends``: list execution backends and probe availability."""
-    parser = argparse.ArgumentParser(
-        prog="repro backends",
-        description="List the registered execution backends with their "
-        "capability flags and an availability probe (e.g. whether "
-        "sbatch is on PATH).",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="emit the listing as JSON")
-    args = parser.parse_args(argv)
-
     from repro.backend import backend_class, backend_names
 
     rows = []
@@ -276,60 +512,11 @@ def _backends_mode(argv: List[str]) -> int:
 
 # -- resilience mode ----------------------------------------------------------
 
-def _build_resilience_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro resilience",
-        description="C/R vs DMR under MTBF-sampled node failures: the same "
-        "fault plan replays against both mechanisms; reports completed "
-        "work and makespan per MTBF (every run invariant-checked). "
-        "Like 'repro sweep'/'bench', this mode always re-simulates; the "
-        "registry form of the same artifact (via 'repro all', or the "
-        "'resilience' name in an artifact list) runs the default MTBF "
-        "sweep through the cached-artifact path instead.",
-    )
-    parser.add_argument("--mtbf", type=_float_list, default=None,
-                        metavar="S1,S2,...",
-                        help="cluster-wide MTBF values in seconds "
-                        "(default 2000,1000,500; --quick: 500)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload + single MTBF for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="workload + fault-plan seed (default 2017)")
-    parser.add_argument("--num-jobs", type=int, default=None, metavar="N",
-                        help="workload size (default 20; --quick: 14)")
-    parser.add_argument("--repair-time", type=float, default=None, metavar="S",
-                        help="node repair time in seconds (default 600)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless DMR completed strictly "
-                        "more work than C/R at the harshest MTBF")
-    parser.add_argument("--csv", metavar="DIR", default=None,
-                        help="also write resilience.csv into DIR")
-    return parser
-
-
-def _resilience_mode(argv: List[str]) -> int:
+def _resilience_mode(args: argparse.Namespace) -> int:
     from repro.api.registry import default_seed
     from repro.experiments import resilience as rz
 
-    args = _build_resilience_parser().parse_args(argv)
     mtbfs = args.mtbf
-    if mtbfs is not None and not mtbfs:
-        print("--mtbf needs at least one value", file=sys.stderr)
-        return 2
-    import math
-
-    if mtbfs is not None and any(not math.isfinite(m) or m <= 0 for m in mtbfs):
-        print("--mtbf values must be positive finite seconds", file=sys.stderr)
-        return 2
-    if args.repair_time is not None and (
-        not math.isfinite(args.repair_time) or args.repair_time <= 0
-    ):
-        print("--repair-time must be a positive finite number of seconds",
-              file=sys.stderr)
-        return 2
-    if args.num_jobs is not None and args.num_jobs < 1:
-        print("--num-jobs must be >= 1", file=sys.stderr)
-        return 2
     if mtbfs is None:
         mtbfs = list(
             rz.RESILIENCE_QUICK_MTBFS if args.quick else rz.RESILIENCE_MTBFS
@@ -358,11 +545,7 @@ def _resilience_mode(argv: List[str]) -> int:
         f"{'DMR strictly ahead' if ahead else 'no separation'}"
     )
     if args.csv is not None:
-        os.makedirs(args.csv, exist_ok=True)
-        path = os.path.join(args.csv, "resilience.csv")
-        with open(path, "w") as fh:
-            fh.write(result.as_csv())
-        print(f"[csv written to {path}]")
+        _write_csv(args.csv, "resilience", result.as_csv())
     if args.check and not ahead:
         print("resilience check failed: DMR did not beat C/R", file=sys.stderr)
         return 1
@@ -371,38 +554,7 @@ def _resilience_mode(argv: List[str]) -> int:
 
 # -- trace mode ---------------------------------------------------------------
 
-def _build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Run one telemetry-enabled scenario and export its "
-        "spans plus the per-job timeline as a Chrome trace-event JSON "
-        "file, loadable at https://ui.perfetto.dev.",
-    )
-    parser.add_argument("scenario", nargs="?", default="fig1",
-                        help="named scenario (default: fig1 — the DMR "
-                        "rendition of the Section VIII testbed under an "
-                        "MTBF-sampled fault plan, so scheduler passes, "
-                        "reconfigurations and fault injections all appear)")
-    parser.add_argument("--workload", choices=("fs", "realapps"),
-                        default="fs", help="workload family (default fs)")
-    parser.add_argument("--num-jobs", type=int, default=None, metavar="N",
-                        help="workload size (default 20; 14 with --quick)")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="base seed (default 2017)")
-    parser.add_argument("--mtbf", type=float, default=None, metavar="S",
-                        help="cluster-wide MTBF of the injected fault plan "
-                        "in seconds (default 500)")
-    parser.add_argument("--max-spans", type=int, default=None, metavar="N",
-                        help="span-buffer bound (default 100000; overflow "
-                        "is counted, not fatal)")
-    parser.add_argument("--out", metavar="FILE", default="trace.json",
-                        help="output path (default trace.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (smaller workload)")
-    return parser
-
-
-def _trace_mode(argv: List[str]) -> int:
+def _trace_mode(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.cluster.configs import marenostrum_preliminary
     from repro.errors import SimulationTimeout, TelemetryError
@@ -415,7 +567,6 @@ def _trace_mode(argv: List[str]) -> int:
     from repro.faults import FaultPlan
     from repro.obs.perfetto import export_perfetto
 
-    args = _build_trace_parser().parse_args(argv)
     if args.scenario.lower() != "fig1":
         print(f"unknown trace scenario {args.scenario!r}; known: fig1",
               file=sys.stderr)
@@ -477,25 +628,6 @@ def _trace_mode(argv: List[str]) -> int:
 
 # -- sweep / bench / cache modes ---------------------------------------------
 
-def _csv_list(cast, kind: str):
-    """Argparse type: comma-separated list of ``cast``-able values."""
-
-    def parse(text: str):
-        try:
-            return [cast(part) for part in text.split(",") if part]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated {kind} list: {text!r}"
-            )
-
-    return parse
-
-
-_int_list = _csv_list(int, "int")
-_float_list = _csv_list(float, "float")
-_str_list = _csv_list(str, "string")
-
-
 def _store_for(args: argparse.Namespace):
     if args.no_cache:
         return None
@@ -519,12 +651,6 @@ class _PrintProgress:
         )
 
 
-def _sweep_progress(quiet: bool):
-    from repro.sweep import SweepObserver  # noqa: F401  (protocol anchor)
-
-    return () if quiet else (_PrintProgress(),)
-
-
 def _report_store(store) -> None:
     if store is None:
         return
@@ -537,64 +663,11 @@ def _report_store(store) -> None:
     )
 
 
-def _build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description="Run a parameter grid as independent cells with "
-        "seed-ensemble statistics (mean, median, stdev, 95% CI).",
-    )
-    parser.add_argument("--artifact", action="append", metavar="NAME",
-                        help="ensemble a registered artifact (repeatable)")
-    parser.add_argument("--workload", action="append", metavar="FAMILY",
-                        choices=("fs", "realapps"),
-                        help="sweep a workload family instead (repeatable)")
-    parser.add_argument("--num-jobs", type=_int_list, default=None,
-                        metavar="N1,N2,...", help="workload sizes axis")
-    parser.add_argument("--nodes", type=_int_list, default=None,
-                        metavar="N1,N2,...", help="cluster sizes axis")
-    parser.add_argument("--policies", type=_str_list, default=None,
-                        metavar="P1,P2,...",
-                        help="policy presets axis (default, deepest, literal)")
-    parser.add_argument("--seeds", type=int, default=5, metavar="K",
-                        help="ensemble width: K consecutive seeds (default 5)")
-    parser.add_argument("--base-seed", type=int, default=None, metavar="S",
-                        help="first seed of the ensemble (default 2017)")
-    parser.add_argument("--async", dest="async_mode", action="store_true",
-                        help="asynchronous DMR mode for workload cells")
-    parser.add_argument("--backend", metavar="NAME", default=None,
-                        help="execution backend for workload cells "
-                        "(default: sim; see 'repro backends')")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (1 = serial, default)")
-    parser.add_argument("--csv", nargs="?", const="-", default=None,
-                        metavar="DIR",
-                        help="emit aggregated CSV (bare: to stdout; "
-                        "DIR: into DIR/sweep.csv)")
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="result-store directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result store")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="collect per-cell telemetry spans and export "
-                        "them as a Perfetto-loadable Chrome trace to FILE")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-cell progress on stderr")
-    return parser
-
-
-def _sweep_mode(argv: List[str]) -> int:
+def _sweep_mode(args: argparse.Namespace) -> int:
     from repro.errors import SimulationTimeout, SweepError
     from repro.sweep import Sweep, SweepRunner
     from repro.sweep.spec import DEFAULT_BASE_SEED
 
-    args = _build_sweep_parser().parse_args(argv)
-    if args.backend is not None:
-        from repro.backend import backend_names
-
-        if args.backend not in backend_names():
-            print(f"unknown backend {args.backend!r}; see 'repro backends'",
-                  file=sys.stderr)
-            return 2
     store = _store_for(args)
     try:
         sweep = Sweep.over(
@@ -607,7 +680,7 @@ def _sweep_mode(argv: List[str]) -> int:
             nodes=args.nodes,
             policies=args.policies,
             async_mode=args.async_mode,
-            backend=args.backend if args.backend is not None else "sim",
+            backend=args.backend,
         )
     except SweepError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
@@ -630,7 +703,7 @@ def _sweep_mode(argv: List[str]) -> int:
     try:
         runner = SweepRunner(
             jobs=args.jobs, store=store,
-            observers=_sweep_progress(args.quiet),
+            observers=() if args.quiet else (_PrintProgress(),),
             telemetry=telemetry_config,
         )
         result = runner.run(sweep)
@@ -677,78 +750,11 @@ def _sweep_mode(argv: List[str]) -> int:
     if args.csv == "-":
         print(aggregate.as_csv(), end="")
     elif args.csv is not None:
-        os.makedirs(args.csv, exist_ok=True)
-        path = os.path.join(args.csv, "sweep.csv")
-        with open(path, "w") as fh:
-            fh.write(aggregate.as_csv())
-        print(f"[csv written to {path}]")
+        _write_csv(args.csv, "sweep", aggregate.as_csv())
     return 0
 
 
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Seed-ensemble bench of the headline artifacts "
-        "(fig1/fig3/table2); emits BENCH_sweep.json.",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="small ensemble for CI smoke runs")
-    parser.add_argument("--seeds", type=int, default=None, metavar="K",
-                        help="ensemble width (default: 5, or 2 with --quick)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1)")
-    parser.add_argument("--base-seed", type=int, default=None, metavar="S")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="output path (default BENCH_sweep.json)")
-    parser.add_argument("--store", metavar="DIR", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--quiet", action="store_true")
-    return parser
-
-
-def _build_bench_sched_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench sched",
-        description="Scheduler-scale bench: replay large synthetic "
-        "Feitelson/SWF traces through the scheduler and, as the legacy "
-        "rows, through the resort-per-pass oracle in repro.testing; "
-        "emits BENCH_sched.json with pass counts, wall-clock and the "
-        "incremental-vs-legacy comparison-work ratio.",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="single small trace for CI smoke runs")
-    parser.add_argument("--sizes", type=_int_list, default=None,
-                        metavar="N1,N2,...",
-                        help="trace sizes in jobs (default 5000,20000,50000; "
-                        "--quick: 2000)")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="trace seed (default 2017)")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy (resort-per-pass oracle) "
-                        "replays")
-    parser.add_argument("--legacy-cap", type=int, default=None, metavar="N",
-                        help="largest trace replayed with the "
-                        "resort-per-pass oracle (default 20000)")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="output path (default BENCH_sched.json)")
-    parser.add_argument("--check", action="store_true",
-                        help="re-run the smallest committed size and compare "
-                        "the deterministic metrics against the committed "
-                        "BENCH_sched.json (timestamps/wall-clock/RSS are "
-                        "ignored); writes nothing")
-    parser.add_argument("--profile", metavar="FILE", default=None,
-                        help="dump cProfile pstats of the largest "
-                        "incremental replay to FILE")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="export telemetry spans of the largest "
-                        "incremental replay as a Perfetto-loadable "
-                        "Chrome trace to FILE")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress lines on stderr")
-    return parser
-
-
-def _bench_sched_mode(argv: List[str]) -> int:
+def _bench_sched_mode(args: argparse.Namespace) -> int:
     from repro.errors import SweepError
     from repro.sweep.bench import (
         SCHED_BENCH_PATH,
@@ -759,7 +765,6 @@ def _bench_sched_mode(argv: List[str]) -> int:
     )
     from repro.sweep.spec import DEFAULT_BASE_SEED
 
-    args = _build_bench_sched_parser().parse_args(argv)
     progress = None if args.quiet else (
         lambda message: print(f"[bench sched] {message}", file=sys.stderr)
     )
@@ -813,15 +818,12 @@ def _bench_sched_mode(argv: List[str]) -> int:
     return 0
 
 
-def _bench_mode(argv: List[str]) -> int:
+def _bench_mode(args: argparse.Namespace) -> int:
     from repro.errors import SimulationTimeout, SweepError
     from repro.sweep import run_bench, write_bench
     from repro.sweep.bench import BENCH_PATH
     from repro.sweep.spec import DEFAULT_BASE_SEED
 
-    if argv and argv[0].lower() == "sched":
-        return _bench_sched_mode(argv[1:])
-    args = _build_bench_parser().parse_args(argv)
     store = _store_for(args)
     try:
         data = run_bench(
@@ -831,7 +833,7 @@ def _bench_mode(argv: List[str]) -> int:
             base_seed=(DEFAULT_BASE_SEED if args.base_seed is None
                        else args.base_seed),
             store=store,
-            observers=_sweep_progress(args.quiet),
+            observers=() if args.quiet else (_PrintProgress(),),
         )
     except (SimulationTimeout, SweepError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
@@ -848,31 +850,11 @@ def _bench_mode(argv: List[str]) -> int:
     return 0
 
 
-def _cache_mode(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description="Inspect or empty the on-disk result store.",
-    )
-    parser.add_argument("action", choices=("ls", "clear"))
-    parser.add_argument("--store", metavar="DIR", default=None)
-    parser.add_argument("--json", action="store_true",
-                        help="emit the ls inventory as JSON (stable "
-                        "ordering; includes hit/miss/put stats)")
-    args = parser.parse_args(argv)
-
+def _cache_ls(args: argparse.Namespace) -> int:
     from repro.store import default_store
 
     store = default_store(args.store)
-    if args.action == "clear":
-        if args.json:
-            print("--json applies to 'ls' only", file=sys.stderr)
-            return 2
-        removed = store.clear()
-        print(f"removed {removed} record(s) from {store.root}")
-        return 0
     if args.json:
-        import json
-
         print(json.dumps(store.listing(), indent=2, sort_keys=True))
         return 0
     entries = store.entries()
@@ -882,69 +864,23 @@ def _cache_mode(argv: List[str]) -> int:
     return 0
 
 
-def _serve_mode(argv: List[str]) -> int:
-    from repro.serve.app import (
-        DEFAULT_HOST,
-        DEFAULT_PORT,
-        ReproServer,
-        run_server,
-    )
-    from repro.serve.jobs import DEFAULT_QUEUE_LIMIT, DEFAULT_WORKERS
+def _cache_clear(args: argparse.Namespace) -> int:
+    from repro.store import default_store
 
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the scheduler-as-a-service HTTP server "
-        "(REST/JSON API with live SSE event streams).",
-    )
-    parser.add_argument("--host", default=DEFAULT_HOST, metavar="ADDR")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT, metavar="N",
-                        help=f"listen port (default {DEFAULT_PORT}; 0 picks "
-                        "an ephemeral port)")
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                        metavar="N",
-                        help="simulation worker threads "
-                        f"(default {DEFAULT_WORKERS})")
-    parser.add_argument("--queue-limit", type=int,
-                        default=DEFAULT_QUEUE_LIMIT, metavar="N",
-                        help="max queued submissions before 429 "
-                        f"(default {DEFAULT_QUEUE_LIMIT})")
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="result-store directory backing sweeps and "
-                        "artifact rendering")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="serve without a result store")
-    parser.add_argument("--backend", metavar="NAME", default="sim",
-                        help="execution backend for workload submissions "
-                        "(default: sim; see 'repro backends')")
-    parser.add_argument("--time-scale", type=float, default=None, metavar="X",
-                        help="compress workload seconds onto the backend "
-                        "clock by X (wall-clock backends only)")
-    args = parser.parse_args(argv)
+    store = default_store(args.store)
+    removed = store.clear()
+    print(f"removed {removed} record(s) from {store.root}")
+    return 0
 
-    from repro.backend import backend_names
 
-    if args.backend not in backend_names():
-        print(f"unknown backend {args.backend!r}; see 'repro backends'",
-              file=sys.stderr)
-        return 2
-    if args.time_scale is not None and (
-        args.time_scale <= 0 or args.backend == "sim"
-    ):
-        print("--time-scale must be positive and needs a wall-clock "
-              "--backend", file=sys.stderr)
-        return 2
-    backend_options = (
-        {} if args.time_scale is None else {"time_scale": args.time_scale}
-    )
-    store = _store_for(args)
+def _serve_mode(args: argparse.Namespace) -> int:
+    from repro.serve.app import ReproServer, run_server
+
     server = ReproServer(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        store=store,
+        store=_store_for(args),
         backend=args.backend,
-        backend_options=backend_options,
+        backend_options=_given(args, "time_scale"),
+        **_given(args, "host", "port", "workers", "queue_limit"),
     )
 
     def announce(srv) -> None:
@@ -958,60 +894,29 @@ def _serve_mode(argv: List[str]) -> int:
     return 0
 
 
-def _loadgen_mode(argv: List[str]) -> int:
+def _loadgen_mode(args: argparse.Namespace) -> int:
     from repro.serve.app import DEFAULT_HOST, DEFAULT_PORT
     from repro.serve.loadgen import (
-        DEFAULT_CLIENTS,
-        DEFAULT_NUM_JOBS,
-        DEFAULT_REQUESTS,
         Loadgen,
         LoadgenError,
         check_report,
         summarize,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="Benchmark a running `repro serve` with concurrent "
-        "workload submissions and SSE event streams.",
-    )
-    parser.add_argument("--host", default=DEFAULT_HOST, metavar="ADDR")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT, metavar="N")
-    parser.add_argument("--clients", type=int, default=DEFAULT_CLIENTS,
-                        metavar="N", help="concurrent client sessions "
-                        f"(default {DEFAULT_CLIENTS})")
-    parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS,
-                        metavar="N", help="total workload submissions "
-                        f"(default {DEFAULT_REQUESTS})")
-    parser.add_argument("--num-jobs", type=int, default=DEFAULT_NUM_JOBS,
-                        metavar="N", help="jobs per submitted workload "
-                        f"(default {DEFAULT_NUM_JOBS})")
-    parser.add_argument("--seed", type=int, default=2017, metavar="S")
-    parser.add_argument("--quick", action="store_true",
-                        help="small CI-sized run (2 clients, 4 requests)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless throughput is non-zero, "
-                        "every job completed and the drain was clean")
-    parser.add_argument("--out", metavar="PATH", default="BENCH_serve.json",
-                        help="report path (default BENCH_serve.json)")
-    args = parser.parse_args(argv)
-
-    clients = 2 if args.quick else args.clients
-    requests = 4 if args.quick else args.requests
+    sizes = ({"clients": 2, "requests": 4} if args.quick
+             else _given(args, "clients", "requests"))
     gen = Loadgen(
-        host=args.host,
-        port=args.port,
-        clients=clients,
-        requests=requests,
-        num_jobs=args.num_jobs,
-        seed=args.seed,
+        host=DEFAULT_HOST if args.host is None else args.host,
+        port=DEFAULT_PORT if args.port is None else args.port,
+        **sizes,
+        **_given(args, "num_jobs", "seed"),
     )
     try:
         report = gen.run()
     except (LoadgenError, ConnectionError, OSError) as exc:
         print(f"loadgen failed: {exc}", file=sys.stderr)
         print(f"(is `repro serve` running on "
-              f"{args.host}:{args.port}?)", file=sys.stderr)
+              f"{gen.host}:{gen.port}?)", file=sys.stderr)
         return 1
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -1026,40 +931,9 @@ def _loadgen_mode(argv: List[str]) -> int:
     return 0
 
 
-def main(argv: List[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0].lower() == "serve":
-        return _serve_mode(argv[1:])
-    if argv and argv[0].lower() == "loadgen":
-        return _loadgen_mode(argv[1:])
-    if argv and argv[0].lower() == "sweep":
-        return _sweep_mode(argv[1:])
-    if argv and argv[0].lower() == "bench":
-        return _bench_mode(argv[1:])
-    if argv and argv[0].lower() == "cache":
-        return _cache_mode(argv[1:])
-    if argv and argv[0].lower() == "resilience":
-        return _resilience_mode(argv[1:])
-    if argv and argv[0].lower() == "trace":
-        return _trace_mode(argv[1:])
-    if argv and argv[0].lower() == "backends":
-        return _backends_mode(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.artifacts[0].lower() == "run":
-        if len(args.artifacts) > 1:
-            print("run mode takes no artifact names", file=sys.stderr)
-            return 2
-        return _run_user_workload(args)
-    if args.workload is not None:
-        print("--workload requires the 'run' mode", file=sys.stderr)
-        return 2
-    if args.backend is not None or args.time_scale is not None:
-        print("--backend/--time-scale require the 'run' mode "
-              "(artifacts always render through the simulator)",
-              file=sys.stderr)
-        return 2
+# -- the artifact form and dispatch -------------------------------------------
 
+def _render_artifacts(args: argparse.Namespace) -> int:
     registry = builtin_registry()
     if args.no_cache:
         registry.detach_store()
@@ -1090,8 +964,37 @@ def main(argv: List[str] | None = None) -> int:
         seen.add(key)
         print(registry.render(key, seed=args.seed))
         if args.csv is not None and registry.get(key).supports_csv:
-            _emit_csv(registry, key, args.seed, args.csv)
+            _write_csv(args.csv, key, registry.render_csv(key, seed=args.seed))
     return 0
+
+
+def parse_command(argv: List[str]) -> argparse.Namespace:
+    """Parse one ``repro`` command line without running it.
+
+    Raises ``SystemExit`` for ``--help`` (status 0) and for a usage
+    error (status 2).  The one routing step: a first word that is
+    neither a verb (in any case) nor ``-h``/``--help`` starts the
+    artifact form.  ``run`` and ``serve`` take ``--time-scale`` only
+    with a wall-clock ``--backend``.
+    """
+    argv = list(argv)
+    if not argv or (argv[0].lower() not in VERBS
+                    and argv[0] not in ("-h", "--help")):
+        argv.insert(0, _ARTIFACTS)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "time_scale", None) is not None and args.backend == "sim":
+        parser.error("--time-scale applies to wall-clock backends; "
+                     "the simulator's virtual seconds are already free")
+    return args
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        args = parse_command(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        return exc.code
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -170,6 +170,10 @@ class Telemetry:
     def correlation_id(self) -> Optional[str]:
         return self.config.correlation_id
 
+    def __len__(self) -> int:
+        """Spans recorded; counting leaves pass spans packed."""
+        return len(self._spans)
+
     @property
     def spans(self) -> List[Span]:
         """Every recorded span, oldest first.
@@ -263,6 +267,6 @@ class Telemetry:
 
     def counts_by_name(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for span in self.spans:
+        for span in self._spans:  # a PassSpan has a name too: no unpacking
             out[span.name] = out.get(span.name, 0) + 1
         return out

@@ -17,17 +17,11 @@ from repro.serve.app import (
     run_server,
 )
 from repro.serve.jobs import (
-    CANCELLED,
-    COMPLETED,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_WORKERS,
     EventBridge,
-    FAILED,
     JobManager,
-    PENDING,
-    RUNNING,
     ServeJob,
-    TERMINAL_STATES,
 )
 
 __all__ = [
@@ -42,10 +36,4 @@ __all__ = [
     "JobManager",
     "ServeJob",
     "EventBridge",
-    "PENDING",
-    "RUNNING",
-    "COMPLETED",
-    "FAILED",
-    "CANCELLED",
-    "TERMINAL_STATES",
 ]

@@ -567,7 +567,7 @@ class ReproServer:
         job = self.manager.submit_workload(params, spec)
         return 202, json_response(202, {
             "id": job.id,
-            "state": job.state,
+            "state": job.state.name,
             "status_url": f"/v1/jobs/{job.id}",
             "events_url": f"/v1/jobs/{job.id}/events",
         })
@@ -577,7 +577,7 @@ class ReproServer:
         job = self.manager.submit_sweep(params, sweep)
         return 202, json_response(202, {
             "id": job.id,
-            "state": job.state,
+            "state": job.state.name,
             "cells": len(sweep),
             "status_url": f"/v1/jobs/{job.id}",
         })
@@ -624,7 +624,7 @@ class ReproServer:
                 cursor += 1
             await writer.drain()
             if done and cursor == total:
-                final = {"state": job.state, "events": cursor}
+                final = {"state": job.state.name, "events": cursor}
                 if job.error is not None:
                     final["error"] = job.error
                 writer.write(sse_frame(json.dumps(final, sort_keys=True),

@@ -4,16 +4,15 @@ The :class:`JobManager` owns a bounded worker pool (threads — a
 simulation is pure-Python compute, and threads let the live
 :class:`~repro.api.observers.SessionObserver` machinery bridge events
 straight into the asyncio serving loop, which a process pool cannot).
-Every submission becomes a :class:`ServeJob` that moves through the
-job-state taxonomy::
+Every submission becomes a :class:`ServeJob` whose state is a
+:class:`~repro.slurm.job.JobState`::
 
     PENDING -> RUNNING -> COMPLETED | FAILED
-                        (CANCELLED reserved for operator actions)
 
-— the same vocabulary Slurm's accounting exposes (the subset of Kive's
-``slurmlib`` states this service can reach; a simulated job never sees
-NODE_FAIL from the *service's* perspective — faults happen inside the
-simulation).
+— the scheduler's own vocabulary, the one Slurm's accounting exposes (a
+simulated job never sees NODE_FAIL from the *service's* perspective —
+faults happen inside the simulation).  The wire form of a state is the
+member name (``"COMPLETED"``).
 
 Backpressure contract (enforced here, surfaced as HTTP codes by the
 app layer):
@@ -41,14 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import DrainingError, QueueFullError, ServeError
 from repro.api.observers import SessionObserver
 from repro.metrics.trace import canonical_line
-
-#: Job-state vocabulary (terminal states are frozenset'd below).
-PENDING = "PENDING"
-RUNNING = "RUNNING"
-COMPLETED = "COMPLETED"
-FAILED = "FAILED"
-CANCELLED = "CANCELLED"
-TERMINAL_STATES = frozenset({COMPLETED, FAILED, CANCELLED})
+from repro.slurm.job import JobState, TERMINAL_STATES
 
 #: Defaults for the service's capacity knobs.
 DEFAULT_WORKERS = 2
@@ -66,7 +58,7 @@ class ServeJob:
         self._loop = loop
         self._lock = threading.Lock()
         self._waiters: Set[asyncio.Event] = set()
-        self.state = PENDING
+        self.state = JobState.PENDING
         self.submitted_unix = time.time()
         self.started_unix: Optional[float] = None
         self.finished_unix: Optional[float] = None
@@ -127,7 +119,7 @@ class ServeJob:
     # -- state transitions (worker thread) ----------------------------------
     def mark_running(self) -> None:
         with self._lock:
-            self.state = RUNNING
+            self.state = JobState.RUNNING
             self.started_unix = time.time()
         self._notify()
 
@@ -139,7 +131,8 @@ class ServeJob:
     def finish(self, result: Optional[dict] = None,
                error: Optional[str] = None) -> None:
         with self._lock:
-            self.state = FAILED if error is not None else COMPLETED
+            self.state = (JobState.FAILED if error is not None
+                          else JobState.COMPLETED)
             self.result = result
             self.error = error
             self.finished_unix = time.time()
@@ -163,7 +156,8 @@ class ServeJob:
         done yet" from "ran without telemetry".
         """
         with self._lock:
-            payload = {"id": self.id, "kind": self.kind, "state": self.state}
+            payload = {"id": self.id, "kind": self.kind,
+                       "state": self.state.name}
             if self.telemetry is None:
                 payload.update({
                     "correlation_id": self.id,
@@ -181,7 +175,7 @@ class ServeJob:
             payload = {
                 "id": self.id,
                 "kind": self.kind,
-                "state": self.state,
+                "state": self.state.name,
                 "params": self.params,
                 "submitted_unix": self.submitted_unix,
                 "started_unix": self.started_unix,
@@ -286,9 +280,10 @@ class JobManager:
         with self._lock:
             by_state: Dict[str, int] = {}
             for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
-            pending = by_state.get(PENDING, 0)
-            running = by_state.get(RUNNING, 0)
+                name = job.state.name
+                by_state[name] = by_state.get(name, 0) + 1
+            pending = by_state.get(JobState.PENDING.name, 0)
+            running = by_state.get(JobState.RUNNING.name, 0)
             return {
                 "state": "draining" if self.draining else "serving",
                 "backend": self.backend,
@@ -318,7 +313,7 @@ class JobManager:
             )
         with self._lock:
             pending = sum(
-                1 for j in self._jobs.values() if j.state == PENDING
+                1 for j in self._jobs.values() if j.state is JobState.PENDING
             )
             if pending >= self.queue_limit:
                 raise QueueFullError(

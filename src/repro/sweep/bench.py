@@ -199,7 +199,7 @@ def replay_sched_trace(
         )
     stats = controller.stats.snapshot()
     if telemetry is not None:
-        stats["spans_recorded"] = len(telemetry.spans)
+        stats["spans_recorded"] = len(telemetry)
         stats["spans_dropped"] = telemetry.dropped
     return {
         "mode": "incremental" if incremental else "legacy",

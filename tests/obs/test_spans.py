@@ -160,6 +160,18 @@ class TestPassSpan:
         assert spans[1].start == spans[1].end == 2.0
         assert telemetry.spans is spans
 
+    def test_replay_counts_pass_spans_without_unpacking_them(self):
+        from repro.sweep.bench import replay_sched_trace
+        from repro.workload.generator import sched_trace
+
+        telemetry = Telemetry()
+        stats = replay_sched_trace(
+            sched_trace(200, seed=2017), incremental=True, telemetry=telemetry
+        )
+        assert stats["spans_recorded"] == stats["passes"] == len(telemetry)
+        assert telemetry.counts_by_name() == {"sched.pass": stats["passes"]}
+        assert all(type(span) is PassSpan for span in telemetry._spans)
+
     def test_append_respects_bound(self):
         telemetry = Telemetry(TelemetryConfig(max_spans=2))
         for i in range(5):

@@ -133,6 +133,7 @@ class TestWorkloadLifecycle:
             {"workload": "fs", "num_jobs": 3, "seed": 11},
         )
         assert status == 202
+        assert body["state"] in ("PENDING", "RUNNING", "COMPLETED")
         job_id = body["id"]
         assert body["events_url"] == f"/v1/jobs/{job_id}/events"
 
@@ -150,6 +151,7 @@ class TestWorkloadLifecycle:
         snap = wait_terminal(server.port, job_id)
         assert snap["state"] == "COMPLETED"
         assert snap["events"] == len(trace_lines)
+        assert server.server.manager.status()["by_state"] == {"COMPLETED": 1}
         # Acceptance: the streamed events ARE the retained trace.
         assert (text_digest("\n".join(trace_lines))
                 == snap["result"]["trace_digest"])

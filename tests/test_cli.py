@@ -60,6 +60,48 @@ def test_unknown_artifact_aborts_before_rendering(stub_registry, capsys):
     assert stub_registry.calls == []  # nothing ran
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["trace", "fig1", "--mtbf", "nan"], "--mtbf"),
+    (["trace", "--num-jobs", "0"], "--num-jobs"),
+    (["trace", "--max-spans", "0"], "--max-spans"),
+    (["bench", "sched", "--sizes", "0"], "--sizes"),
+    (["serve", "--workers", "0"], "--workers"),
+    (["loadgen", "--clients", "0"], "--clients"),
+    (["resilience", "--mtbf", "fast,slow"], "--mtbf"),
+])
+def test_bad_flag_value_is_a_one_line_usage_error(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_serve_and_loadgen_help_state_the_service_defaults(capsys):
+    """The parser leaves these defaults to repro.serve; its help repeats
+    them."""
+    from repro.serve.app import DEFAULT_HOST, DEFAULT_PORT
+    from repro.serve.jobs import DEFAULT_QUEUE_LIMIT, DEFAULT_WORKERS
+    from repro.serve.loadgen import (
+        DEFAULT_CLIENTS,
+        DEFAULT_NUM_JOBS,
+        DEFAULT_REQUESTS,
+    )
+
+    assert main(["serve", "--help"]) == 0
+    serve = " ".join(capsys.readouterr().out.split())
+    assert main(["loadgen", "--help"]) == 0
+    loadgen = " ".join(capsys.readouterr().out.split())
+    for text in (serve, loadgen):
+        assert f"address (default {DEFAULT_HOST})" in text
+        assert f"port (default {DEFAULT_PORT};" in text
+    assert f"threads (default {DEFAULT_WORKERS})" in serve
+    assert f"before 429 (default {DEFAULT_QUEUE_LIMIT})" in serve
+    assert f"sessions (default {DEFAULT_CLIENTS})" in loadgen
+    assert f"submissions (default {DEFAULT_REQUESTS})" in loadgen
+    assert f"workload (default {DEFAULT_NUM_JOBS})" in loadgen
+
+
 def test_single_artifact(stub_registry, capsys):
     assert main(["alpha"]) == 0
     assert "TABLE<alpha-None>" in capsys.readouterr().out
@@ -189,12 +231,12 @@ def test_run_requires_workload(capsys):
 def test_run_rejects_flexible_and_rigid(swf_file, capsys):
     assert main(["run", "--workload", str(swf_file),
                  "--flexible", "--rigid"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+    assert "not allowed with argument --flexible" in capsys.readouterr().err
 
 
 def test_run_rejects_extra_artifacts(swf_file, capsys):
     assert main(["run", "fig1", "--workload", str(swf_file)]) == 2
-    assert "no artifact names" in capsys.readouterr().err
+    assert "unrecognized arguments: fig1" in capsys.readouterr().err
 
 
 def test_run_unreadable_workload(tmp_path, capsys):
@@ -204,7 +246,7 @@ def test_run_unreadable_workload(tmp_path, capsys):
 
 def test_workload_flag_requires_run_mode(swf_file, capsys):
     assert main(["fig1", "--workload", str(swf_file)]) == 2
-    assert "requires the 'run' mode" in capsys.readouterr().err
+    assert "unrecognized arguments: --workload" in capsys.readouterr().err
 
 
 # -- backends mode + run --backend -------------------------------------------
@@ -267,7 +309,7 @@ class TestRunBackend:
 
     def test_backend_flag_requires_run_mode(self, capsys):
         assert main(["fig1", "--backend", "slurm"]) == 2
-        assert "require the 'run' mode" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_run_over_fake_slurm(self, swf_file, monkeypatch, tmp_path, capsys):
         _fake_slurm_env(monkeypatch, tmp_path)
@@ -340,8 +382,9 @@ class TestSweepMode:
 
     def test_invalid_jobs_fails_cleanly(self, capsys):
         assert main(["sweep", "--artifact", "fig1", "--seeds", "1",
-                     "--jobs", "0", "--quiet"]) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+                     "--jobs", "0", "--quiet"]) == 2
+        assert "argument --jobs: must be a positive integer" in \
+            capsys.readouterr().err
 
     def test_aggregate_csv_stays_single_delimiter(self, capsys):
         """Fig. 1 metric keys span two axis columns; the CSV must keep
@@ -386,6 +429,16 @@ class TestBenchMode:
         assert entry["speedup"]["comparisons_ratio"] > 1.0
         assert "300" in data["swf_roundtrip"]
         assert "[bench written to" in capsys.readouterr().out
+
+    def test_sched_takes_quick_quiet_and_out_on_either_side(self):
+        from repro.cli import parse_command
+
+        for argv in (["bench", "--quick", "--quiet", "--out", "f", "sched"],
+                     ["bench", "sched", "--quick", "--quiet", "--out", "f"]):
+            args = parse_command(argv)
+            assert (args.quick, args.quiet, args.out) == (True, True, "f")
+        args = parse_command(["bench", "sched"])
+        assert (args.quick, args.quiet, args.out) == (False, False, None)
 
     def test_bench_sched_no_legacy(self, tmp_path, capsys):
         import json
@@ -434,7 +487,7 @@ class TestCacheMode:
 
     def test_clear_rejects_json(self, capsys):
         assert main(["cache", "clear", "--json"]) == 2
-        assert "'ls' only" in capsys.readouterr().err
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 class TestArtifactStoreCache:
@@ -485,8 +538,7 @@ def test_resilience_custom_mtbf_list(capsys):
 
 
 def test_resilience_rejects_bad_mtbf_list():
-    with pytest.raises(SystemExit):
-        main(["resilience", "--mtbf", "fast,slow"])
+    assert main(["resilience", "--mtbf", "fast,slow"]) == 2
 
 
 def test_resilience_rejects_empty_mtbf_list(capsys):

@@ -6,6 +6,7 @@ these tests keep the promises true as the code evolves.
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -95,3 +96,45 @@ def test_experiments_md_covers_every_figure():
         assert re.search(pattern, text), f"EXPERIMENTS.md missing Fig. {fig}"
     assert "Table II" in text
     assert "Table I" in text
+
+
+#: Files whose ``python -m repro ...`` command lines must parse.
+COMMAND_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md",
+                ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
+#: ``python -m repro`` followed by arguments, up to the line or code span end.
+COMMAND_LINE = re.compile(r"python3? -m repro[ \t]+([^`\n]*)")
+#: Where the shell takes over: pipes, redirections, ``&``/``&&`` and ``;``.
+SHELL_CUT = re.compile(r"\d?>|[|&;]")
+VERBS = ("run", "sweep", "bench", "cache", "serve", "loadgen",
+         "resilience", "trace", "backends")
+
+
+def test_documented_command_lines_parse(capsys):
+    """Every documented ``repro`` command line parses as ``main()`` would
+    parse it (nothing runs)."""
+    from repro.cli import parse_command
+
+    failures, parsed = [], 0
+    for doc in COMMAND_DOCS:
+        text = (REPO / doc).read_text().replace("\\\n", " ")
+        for match in COMMAND_LINE.finditer(text):
+            argv = shlex.split(SHELL_CUT.split(match.group(1))[0],
+                               comments=True)
+            try:
+                parse_command(argv)
+            except SystemExit as exc:  # status 0: a documented --help
+                if exc.code != 0:
+                    failures.append(f"{doc}: repro {' '.join(argv)}")
+            parsed += 1
+    assert parsed >= 60, parsed
+    assert not failures, failures
+
+
+def test_help_names_every_verb_and_the_artifact_form(capsys):
+    from repro.cli import main
+
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for verb in VERBS:
+        assert re.search(rf"^\s+{verb}\s", out, re.MULTILINE), verb
+    assert "repro ARTIFACT" in out
