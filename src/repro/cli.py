@@ -86,6 +86,16 @@ def _list_of(cast):
     return parse
 
 
+def _output_path(text: str) -> str:
+    """Argparse type: a file path in an existing directory, so a missing
+    one is a usage error before the run, not a traceback after it."""
+    directory = os.path.dirname(text)
+    if directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory {directory!r} does not exist")
+    return text
+
+
 def _backend_name(text: str) -> str:
     from repro.backend import backend_names
 
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", nargs="?", const="-", metavar="DIR",
                        help="emit aggregated CSV (bare: to stdout; "
                        "DIR: into DIR/sweep.csv)")
-    sweep.add_argument("--trace", metavar="FILE",
+    sweep.add_argument("--trace", type=_output_path, metavar="FILE",
                        help="collect per-cell telemetry spans and export "
                        "them as a Perfetto-loadable Chrome trace to FILE")
     sweep.set_defaults(handler=_sweep_mode)
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small ensemble for CI smoke runs")
     bench.add_argument("--seeds", type=_positive_int, metavar="K",
                        help="ensemble width (default: 5, or 2 with --quick)")
-    bench.add_argument("--out", metavar="FILE",
+    bench.add_argument("--out", type=_output_path, metavar="FILE",
                        help="output path (default BENCH_sweep.json)")
     bench.set_defaults(handler=_bench_mode)
     # sched's --quick, --quiet and --out default to bench's values, so
@@ -254,17 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--legacy-cap", type=int, metavar="N",
                        help="largest trace replayed with the "
                        "resort-per-pass oracle (default 20000)")
-    sched.add_argument("--out", metavar="FILE", default=argparse.SUPPRESS,
+    sched.add_argument("--out", type=_output_path, metavar="FILE",
+                       default=argparse.SUPPRESS,
                        help="output path (default BENCH_sched.json)")
     sched.add_argument("--check", action="store_true",
                        help="re-run the smallest committed size and compare "
                        "the deterministic metrics against the committed "
                        "BENCH_sched.json (timestamps/wall-clock/RSS are "
                        "ignored); writes nothing")
-    sched.add_argument("--profile", metavar="FILE",
+    sched.add_argument("--profile", type=_output_path, metavar="FILE",
                        help="dump cProfile pstats of the largest "
                        "incremental replay to FILE")
-    sched.add_argument("--trace", metavar="FILE",
+    sched.add_argument("--trace", type=_output_path, metavar="FILE",
                        help="export telemetry spans of the largest "
                        "incremental replay as a Perfetto-loadable "
                        "Chrome trace to FILE")
@@ -317,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--check", action="store_true",
                          help="exit non-zero unless throughput is non-zero, "
                          "every job completed and the drain was clean")
-    loadgen.add_argument("--out", metavar="PATH", default="BENCH_serve.json",
+    loadgen.add_argument("--out", type=_output_path, metavar="PATH",
+                         default="BENCH_serve.json",
                          help="report path (default BENCH_serve.json)")
     loadgen.set_defaults(handler=_loadgen_mode)
 
@@ -372,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--max-spans", type=_positive_int, metavar="N",
                        help="span-buffer bound (default 100000; overflow "
                        "is counted, not fatal)")
-    trace.add_argument("--out", metavar="FILE", default="trace.json",
+    trace.add_argument("--out", type=_output_path, metavar="FILE",
+                       default="trace.json",
                        help="output path (default trace.json)")
     trace.add_argument("--quick", action="store_true",
                        help="CI-sized run (smaller workload)")

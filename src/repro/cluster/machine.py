@@ -58,6 +58,9 @@ class Machine:
         #: Interconnect degradation multiplier (>= 1.0; faults raise it,
         #: the runtime scales redistribution times by it).
         self.network_factor: float = 1.0
+        #: Set once any node's perf factor is raised: until then every
+        #: job runs at nominal speed and :meth:`slowdown_of` need not scan.
+        self._slowed = False
         #: Bumped by every change to the free pool, an allocation or node
         #: health (the held-unreturnable set included); part of the
         #: controller's scheduler state epoch.
@@ -329,6 +332,7 @@ class Machine:
         if factor < 1.0:
             raise ClusterError(f"perf factor must be >= 1.0, got {factor}")
         self.nodes[node_index].perf_factor = factor
+        self._slowed = True
 
     def down_nodes_of(self, job_id: int) -> Tuple[int, ...]:
         """The DOWN nodes a job still holds (forced-shrink victims)."""
@@ -339,6 +343,8 @@ class Machine:
 
     def slowdown_of(self, job_id: int) -> float:
         """The job's effective slowdown: its slowest node gates each step."""
+        if not self._slowed:
+            return 1.0
         owned = self._by_job.get(job_id)
         if not owned:
             return 1.0

@@ -6,31 +6,17 @@ from repro.core.actions import (
     ResizeDecision,
     ResizeRequest,
 )
-from repro.core.dmr import CheckOutcome, DMRSession
+from repro.core.dmr import INHIBITED, DMRSession
 from repro.core.handler import OffloadHandler
 from repro.core.inhibitor import CheckInhibitor
-from repro.core.protocol import (
-    CheckReply,
-    CheckRequest,
-    ExpandComplete,
-    Message,
-    RMSChannel,
-    ShrinkAck,
-)
 
 __all__ = [
     "CheckInhibitor",
-    "CheckOutcome",
-    "CheckReply",
-    "CheckRequest",
     "DMRSession",
     "DecisionReason",
-    "ExpandComplete",
-    "Message",
+    "INHIBITED",
     "OffloadHandler",
-    "RMSChannel",
     "ResizeAction",
     "ResizeDecision",
     "ResizeRequest",
-    "ShrinkAck",
 ]

@@ -15,27 +15,21 @@ be stale — the inefficiency analysed in Section VIII-C / Fig. 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.core.actions import ResizeAction, ResizeDecision
 from repro.core.inhibitor import CheckInhibitor
 
-#: A thunk that queries the RMS and returns its decision now.
-DecisionFn = Callable[[], ResizeDecision]
+
+class _Inhibited:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "INHIBITED"
 
 
-@dataclass
-class CheckOutcome:
-    """What a DMR call produced."""
-
-    #: Decision to apply right now (None when the call was inhibited or
-    #: nothing is scheduled yet in asynchronous mode).
-    decision: Optional[ResizeDecision]
-    #: Whether the runtime must charge the blocking RMS round-trip cost.
-    blocking: bool
-    #: Whether the inhibitor swallowed the call.
-    inhibited: bool = False
+#: What :meth:`DMRSession.check` answers for a call the inhibitor swallowed.
+INHIBITED = _Inhibited()
 
 
 class DMRSession:
@@ -52,28 +46,39 @@ class DMRSession:
         self._pending: Optional[ResizeDecision] = None
 
     @property
+    def blocking(self) -> bool:
+        """Whether a serviced call blocks on the runtime<->RMS round trip."""
+        return not self.async_mode
+
+    @property
     def pending(self) -> Optional[ResizeDecision]:
         """The decision negotiated for the next step (asynchronous mode)."""
         return self._pending
 
-    def check(self, now: float, decide: DecisionFn) -> CheckOutcome:
+    def check(
+        self, now: float, decide: Callable[..., ResizeDecision], *args
+    ) -> Union[ResizeDecision, None, _Inhibited]:
         """Perform one DMR call at time ``now``.
 
-        ``decide`` is invoked (at most once) to obtain the RMS decision
-        based on the current system state.
+        ``decide(*args)`` is invoked (at most once) to obtain the RMS
+        decision based on the current system state.  Answers
+        :data:`INHIBITED` when the inhibitor swallowed the call, else the
+        decision to apply now: None when there is none (a NO_ACTION
+        answer, or nothing negotiated yet in asynchronous mode).
         """
         if not self.inhibitor.try_acquire(now):
-            return CheckOutcome(decision=None, blocking=False, inhibited=True)
+            return INHIBITED
 
         if not self.async_mode:
-            return CheckOutcome(decision=decide(), blocking=True)
+            decision = decide(*args)
+            return None if decision.action is ResizeAction.NO_ACTION else decision
 
         # Asynchronous: apply what was negotiated last step, kick off the
         # next negotiation (overlapped with compute, hence non-blocking).
-        to_apply, self._pending = self._pending, decide()
+        to_apply, self._pending = self._pending, decide(*args)
         if to_apply is not None and to_apply.action is ResizeAction.NO_ACTION:
-            to_apply = None
-        return CheckOutcome(decision=to_apply, blocking=False)
+            return None
+        return to_apply
 
     def cancel_pending(self) -> None:
         """Drop a scheduled decision (e.g. the job is about to finish)."""

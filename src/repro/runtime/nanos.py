@@ -14,13 +14,14 @@ Nanos++ runtime instance exists per MPI job in the paper.  The runtime:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from repro.apps.base import AppModel
 from repro.cluster.configs import ClusterConfig
 from repro.core.actions import DecisionReason, ResizeAction, ResizeDecision
-from repro.core.dmr import DMRSession
+from repro.core.dmr import INHIBITED, DMRSession
 from repro.core.handler import OffloadHandler
 from repro.errors import RuntimeAPIError
 from repro.metrics.trace import EventKind
@@ -45,11 +46,6 @@ class RuntimeConfig:
     ack_per_node: float = 0.01
     #: Seconds to wait for a resizer job before aborting an expansion.
     resizer_timeout: float = 30.0
-    #: Route synchronous checks through the explicit message protocol
-    #: (:mod:`repro.core.protocol`) instead of charging ``check_cost`` as
-    #: a flat block.  Same total round-trip cost; the decision is then
-    #: evaluated when the request *arrives* at the RMS (mid round trip).
-    use_protocol_channel: bool = False
     #: Periodic checkpointing for *non-flexible* jobs (the C/R fault
     #: baseline): every N iterations the application state is written to
     #: the shared filesystem, and a requeued job restarts from its last
@@ -94,14 +90,11 @@ class NanosRuntime:
             async_mode=self.config.async_mode,
             start_time=self.env.now,
         )
-        if self.config.use_protocol_channel:
-            from repro.core.protocol import RMSChannel
-
-            self.channel: Optional["RMSChannel"] = RMSChannel(
-                controller, latency=self.config.check_cost / 2.0
-            )
-        else:
-            self.channel = None
+        #: What a serviced check blocks on: the round trip, paid only in
+        #: synchronous mode (a zero cost still blocks for zero seconds).
+        self._round_trip: Optional[float] = (
+            self.config.check_cost if self.session.blocking else None
+        )
         #: Number of reconfigurations performed (for tests/metrics).
         self.resize_count = 0
         #: Number of DMR calls that reached the RMS.
@@ -121,9 +114,21 @@ class NanosRuntime:
                 yield from self._restart_costs(cp_period)
             while not app.finished:
                 if malleable:
-                    yield from self._reconfiguring_point()
+                    round_trip, resize = self._reconfiguring_point()
+                    if round_trip is not None:
+                        # Synchronous mode pays the round trip on the
+                        # critical path.
+                        yield self.env.timeout(round_trip)
+                    if resize is not None:
+                        if resize.action is ResizeAction.EXPAND:
+                            yield from self._do_expand(resize)
+                        else:
+                            yield from self._do_shrink(resize)
                 slowdown = self.controller.machine.slowdown_of(job.job_id)
-                steps = self._batch_steps(slowdown)
+                steps = (
+                    self._batch_steps(slowdown) if malleable
+                    else app.remaining_steps
+                )
                 if cp_period:
                     # Stop each batch at the next checkpoint boundary.
                     steps = min(
@@ -203,7 +208,8 @@ class NanosRuntime:
         )
 
     def _batch_steps(self, slowdown: float) -> int:
-        """How many iterations to run before the next reconfiguring point.
+        """How many iterations a malleable job runs before its next
+        reconfiguring point.
 
         Iterations between two serviced DMR calls are indistinguishable in
         virtual time (constant step cost, no interaction), so they are
@@ -211,9 +217,7 @@ class NanosRuntime:
         e.g. CG's 10000 iterations into one event per scheduling period
         without changing any observable timing.
         """
-        app, job = self.app, self.job
-        if not (job.is_flexible and app.resize is not None):
-            return app.remaining_steps
+        app = self.app
         period = app.sched_period
         if period <= 0:
             return 1  # a reconfiguring point precedes every iteration
@@ -221,12 +225,10 @@ class NanosRuntime:
         # the run loop charges, or a slowdown would push the next
         # reconfiguring point — and forced-shrink service — late by the
         # slowdown factor.
-        step = app.step_time(job.num_nodes) * slowdown
+        step = app.step_time(self.job.num_nodes) * slowdown
         until_next_check = self.session.inhibitor.last_check + period - self.env.now
         if until_next_check <= 0:
             return 1
-        import math
-
         # Tolerance keeps the batched boundary identical to the per-step
         # loop when until/step is an exact multiple up to fp rounding
         # (see tests/runtime/test_batching.py).
@@ -235,8 +237,15 @@ class NanosRuntime:
         return max(1, min(app.remaining_steps, steps))
 
     # -- reconfiguring point -------------------------------------------------
-    def _reconfiguring_point(self) -> Generator[Event, object, None]:
-        """One ``dmr_check_status``/``dmr_icheck_status`` call site."""
+    def _reconfiguring_point(
+        self,
+    ) -> Tuple[Optional[float], Optional[ResizeDecision]]:
+        """One ``dmr_check_status``/``dmr_icheck_status`` call site.
+
+        Services the call and records its ``DMR_CHECK`` line.  Returns the
+        round trip the caller blocks on (None when the call does not
+        block) and the resize it then performs (None for none).
+        """
         job = self.job
         # Node failure: the RMS already decided — evacuate the dying
         # node(s) now, bypassing the inhibitor and the regular check.
@@ -262,52 +271,26 @@ class NanosRuntime:
                 applied=forced.action.value,
                 forced=True,
             )
-            yield from self._do_shrink(forced)
-            return
+            return None, forced
         # Evolving applications may override the request at this step
         # ("Request an Action" mode, Section IV-1).
         request = self.app.request_at(self.app.completed_steps)
         assert request is not None
-
-        if self.channel is not None and not self.config.async_mode:
-            # Explicit protocol: the inhibitor gates the call, then the
-            # full message exchange happens on the wire.
-            if not self.session.inhibitor.try_acquire(self.env.now):
-                return
-            self.check_count += 1
-            decision = yield from self.channel.check(job, request)
-            self.controller.trace.record(
-                self.env.now,
-                EventKind.DMR_CHECK,
-                job.job_id,
-                blocking=True,
-                applied=decision.action.value,
-            )
-        else:
-            outcome = self.session.check(
-                self.env.now,
-                decide=lambda: self.controller.check_status(job, request),
-            )
-            if outcome.inhibited:
-                return
-            self.check_count += 1
-            self.controller.trace.record(
-                self.env.now,
-                EventKind.DMR_CHECK,
-                job.job_id,
-                blocking=outcome.blocking,
-                applied=outcome.decision.action.value if outcome.decision else None,
-            )
-            if outcome.blocking:
-                # Synchronous mode pays the round trip on the critical path.
-                yield self.env.timeout(self.config.check_cost)
-            decision = outcome.decision
-        if decision is None or not decision:
-            return
-        if decision.action is ResizeAction.EXPAND:
-            yield from self._do_expand(decision)
-        elif decision.action is ResizeAction.SHRINK:
-            yield from self._do_shrink(decision)
+        resize = self.session.check(
+            self.env.now, self.controller.check_status, job, request
+        )
+        if resize is INHIBITED:
+            return None, None
+        self.check_count += 1
+        round_trip = self._round_trip
+        self.controller.trace.record(
+            self.env.now,
+            EventKind.DMR_CHECK,
+            job.job_id,
+            blocking=round_trip is not None,
+            applied=None if resize is None else resize.action.value,
+        )
+        return round_trip, resize
 
     # -- resize actions ----------------------------------------------------------
     def _do_expand(
@@ -348,8 +331,6 @@ class NanosRuntime:
                 track="runtime", job_id=job.job_id, action="expand",
                 old_procs=old, new_procs=new,
             )
-        if self.channel is not None:
-            self.channel.notify_expand_complete(job, new)
         return OffloadHandler(
             action=ResizeAction.EXPAND,
             old_procs=old,
@@ -396,7 +377,7 @@ class NanosRuntime:
                 : old - target
             ]
         # Only now is it safe for Slurm to kill processes on released nodes.
-        released = shrink_protocol(self.controller, job, target, victims=victims)
+        shrink_protocol(self.controller, job, target, victims=victims)
         self.resize_count += 1
         telemetry = self.controller.telemetry
         if telemetry is not None:
@@ -406,8 +387,6 @@ class NanosRuntime:
                 old_procs=old, new_procs=target,
                 forced=decision.reason is DecisionReason.NODE_FAILURE,
             )
-        if self.channel is not None:
-            self.channel.notify_shrink_acks(job, released)
         return OffloadHandler(
             action=ResizeAction.SHRINK,
             old_procs=old,

@@ -14,12 +14,11 @@ Everything above this module runs as generator-based processes on one
 is a process whose reconfiguring points call into the DMR core
 (:class:`repro.core.dmr.DMRSession`), the Slurm controller schedules its
 passes as same-timestamp events at low priority (so all state changes at a
-timestamp settle before a pass observes them), and the
-:class:`repro.core.protocol.RMSChannel` handshake models each protocol
-message as a timed event.  Determinism here is what makes the paper's
-paired fixed-vs-flexible comparisons exactly reproducible: identical
-workloads see identical event orders, so any makespan difference is
-attributable to the resize decisions alone.
+timestamp settle before a pass observes them), and a synchronous DMR call
+blocks its job on a round-trip timeout.  Determinism here is what makes
+the paper's paired fixed-vs-flexible comparisons exactly reproducible:
+identical workloads see identical event orders, so any makespan
+difference is attributable to the resize decisions alone.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ node daemons.
 :mod:`repro.core` protocol:
 
 * :meth:`SlurmController.check_status` is the entry point a
-  :class:`repro.core.dmr.DMRSession` (or a
-  :class:`repro.core.protocol.RMSChannel` message exchange) invokes at a
-  reconfiguring point.  It takes the application's
+  :class:`repro.core.dmr.DMRSession` invokes at a reconfiguring point.
+  It takes the application's
   :class:`~repro.core.actions.ResizeRequest`, evaluates Algorithm 1 via
   :class:`~repro.slurm.reconfig.ReconfigurationPolicy`, and answers with a
   :class:`~repro.core.actions.ResizeDecision` whose
@@ -582,7 +581,7 @@ class SlurmController:
             kept is not None
             and kept[0] == epoch
             and kept[1] == size
-            and kept[2] == request
+            and (kept[2] is request or kept[2] == request)
         ):
             decision = kept[3]
             self.stats.decisions_reused += 1

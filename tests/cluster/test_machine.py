@@ -153,6 +153,52 @@ def test_jobs_listing():
     assert m.jobs() == (2,)
 
 
+class TestSlowdownOf:
+    """``slowdown_of`` skips its scan until a perf factor is ever raised;
+    after that every read must still see the nodes' current factors."""
+
+    def test_fresh_machine_runs_at_nominal_speed(self):
+        m = Machine(4)
+        m.allocate(1, 2)
+        assert m.slowdown_of(1) == 1.0
+        assert m.slowdown_of(99) == 1.0  # a job holding no nodes
+
+    def test_slowest_node_gates_the_job(self):
+        m = Machine(4)
+        m.allocate(1, 3)
+        m.set_perf_factor(1, 2.5)
+        m.set_perf_factor(2, 1.5)
+        m.set_perf_factor(3, 4.0)  # not the job's node
+        assert m.slowdown_of(1) == 2.5
+
+    def test_injector_restore_brings_nominal_speed_back(self):
+        from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+        from repro.sim import Environment
+        from repro.slurm import SlurmController
+
+        env = Environment()
+        m = Machine(4)
+        m.allocate(1, 2)
+        ctl = SlurmController(env, m)
+        FaultInjector(ctl, FaultPlan.scripted([
+            FaultEvent(time=1.0, kind=FaultKind.SLOWDOWN, node=0,
+                       factor=3.0, duration=5.0),
+        ])).start()
+        env.run(until=2.0)
+        assert m.slowdown_of(1) == 3.0
+        # The window's expiry writes the node's factor back directly.
+        env.run(until=7.0)
+        assert m.slowdown_of(1) == 1.0
+
+    def test_failed_node_resets_its_factor(self):
+        m = Machine(4)
+        m.allocate(1, 2)
+        m.set_perf_factor(0, 3.0)
+        assert m.slowdown_of(1) == 3.0
+        m.fail_node(0)  # Node.fail() resets the factor
+        assert m.slowdown_of(1) == 1.0
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=10),
 )

@@ -77,6 +77,30 @@ def test_bad_flag_value_is_a_one_line_usage_error(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag,handler", [
+    (["trace", "fig1", "--quick", "--out"], "--out", "_trace_mode"),
+    (["bench", "--quick", "--out"], "--out", "_bench_mode"),
+    (["bench", "sched", "--quick", "--out"], "--out", "_bench_sched_mode"),
+    (["bench", "sched", "--trace"], "--trace", "_bench_sched_mode"),
+    (["bench", "sched", "--profile"], "--profile", "_bench_sched_mode"),
+    (["sweep", "--artifact", "fig1", "--trace"], "--trace", "_sweep_mode"),
+    (["loadgen", "--out"], "--out", "_loadgen_mode"),
+])
+def test_output_path_in_missing_directory_fails_before_the_run(
+        argv, flag, handler, tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, handler, lambda args: ran.append(args) or 0)
+    missing = tmp_path / "nodir" / "out.json"
+    assert main([*argv, str(missing)]) == 2
+    assert ran == []  # the verb's handler never started
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"argument {flag}:" in err and "does not exist" in err
+    # The same command with an existing directory reaches the handler.
+    assert main([*argv, str(tmp_path / "out.json")]) == 0
+    assert len(ran) == 1
+
+
 def test_serve_and_loadgen_help_state_the_service_defaults(capsys):
     """The parser leaves these defaults to repro.serve; its help repeats
     them."""
