@@ -32,7 +32,6 @@ from repro.api.session import (
     LiveSimulation,
     Session,
     SessionRun,
-    SessionSpec,
 )
 from repro.errors import SimulationTimeout
 from repro.obs.spans import Telemetry, TelemetryConfig
@@ -47,7 +46,6 @@ __all__ = [
     "Session",
     "SessionObserver",
     "SessionRun",
-    "SessionSpec",
     "SimulationTimeout",
     "Telemetry",
     "TelemetryConfig",

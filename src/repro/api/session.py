@@ -67,42 +67,6 @@ class LiveSimulation:
 
 
 @dataclass(frozen=True)
-class SessionSpec:
-    """A picklable, observer-free snapshot of a :class:`Session`.
-
-    Every field is a plain dataclass of primitives, so a spec crosses a
-    process boundary unchanged and :meth:`build` reconstitutes an
-    equivalent session on the other side.  The sweep engine's workers
-    resolve each cell's axes into one of these
-    (``repro.sweep.runner.session_spec_for``) before building the
-    session they run.  Observers are deliberately not part of the spec —
-    they may close over live state; workers attach their own.
-    """
-
-    cluster: Optional[ClusterConfig] = None
-    slurm: Optional[SlurmConfig] = None
-    runtime: Optional[RuntimeConfig] = None
-    seed: Optional[int] = None
-    max_sim_time: float = DEFAULT_MAX_SIM_TIME
-    faults: Optional[FaultPlan] = None
-    telemetry: Optional[TelemetryConfig] = None
-    backend: Optional[BackendSpec] = None
-
-    def build(self) -> "Session":
-        """Reconstitute the session this spec describes."""
-        return Session(
-            cluster=self.cluster,
-            slurm=self.slurm,
-            runtime=self.runtime,
-            seed=self.seed,
-            max_sim_time=self.max_sim_time,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            backend=self.backend,
-        )
-
-
-@dataclass(frozen=True)
 class Session:
     """Immutable builder + executor for workload simulations."""
 
@@ -114,11 +78,11 @@ class Session:
     max_sim_time: float = DEFAULT_MAX_SIM_TIME
     faults: Optional[FaultPlan] = None
     telemetry: Optional[TelemetryConfig] = None
-    #: Which execution backend runs this session's workloads.  ``None``
-    #: means the native in-process simulator path (byte-identical golden
-    #: traces); anything else routes :meth:`run` through the
+    #: Which execution backend runs this session's workloads.  The
+    #: default, ``"sim"``, is the in-process simulator (byte-identical
+    #: golden traces); any other backend routes :meth:`run` through the
     #: :mod:`repro.backend` seam.
-    backend: Optional[BackendSpec] = None
+    backend: BackendSpec = BackendSpec()
 
     # -- builder steps -----------------------------------------------------
     def with_cluster(self, cluster: ClusterConfig) -> "Session":
@@ -192,8 +156,7 @@ class Session:
 
         Accepts a registry name (``"sim"``, ``"slurm"``) plus keyword
         options, or a pre-built :class:`~repro.backend.base.BackendSpec`.
-        ``with_backend("sim")`` without options is equivalent to the
-        default native path.
+        ``with_backend("sim")`` without options is the default.
         """
         if isinstance(backend, BackendSpec):
             if options:
@@ -202,24 +165,6 @@ class Session:
         else:
             spec = BackendSpec.of(str(backend), **options)
         return replace(self, backend=spec)
-
-    def spec(self) -> SessionSpec:
-        """Export the picklable (observer-free) form of this session."""
-        return SessionSpec(
-            cluster=self.cluster,
-            slurm=self.slurm,
-            runtime=self.runtime,
-            seed=self.seed,
-            max_sim_time=self.max_sim_time,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            backend=self.backend,
-        )
-
-    @classmethod
-    def from_spec(cls, spec: SessionSpec) -> "Session":
-        """Reconstitute a session from its exported spec."""
-        return spec.build()
 
     # -- derived configuration --------------------------------------------
     @property
@@ -254,7 +199,7 @@ class Session:
         path can be built; a session configured for another backend
         executes through :meth:`run` instead.
         """
-        if self.backend is not None and self.backend.name != "sim":
+        if self.backend.name != "sim":
             from repro.errors import BackendError
 
             raise BackendError(
@@ -270,8 +215,7 @@ class Session:
         """Instantiate this session's configured execution backend."""
         from repro.backend.base import create_backend
 
-        spec = self.backend if self.backend is not None else BackendSpec(name="sim")
-        return create_backend(spec, session=self)
+        return create_backend(self.backend, session=self)
 
     def submit(self, spec: WorkloadSpec, flexible: bool = True) -> "SessionRun":
         """Stand up a fresh simulation and install the arrival process.
@@ -297,10 +241,10 @@ class Session:
 
         Sessions configured with a non-sim backend
         (:meth:`with_backend`) route through the backend seam; the
-        default (and explicit ``"sim"``) keeps the native in-process
-        path, whose golden traces are pinned byte-for-byte.
+        simulator runs in process, where the recorded trace keeps every
+        DMR event and the golden traces are pinned byte for byte.
         """
-        if self.backend is not None and self.backend.name != "sim":
+        if self.backend.name != "sim":
             from repro.backend.base import create_backend
             from repro.backend.driver import run_workload
 
@@ -381,6 +325,7 @@ class SessionRun:
                 pending_job_ids=tuple(sorted(controller.pending)),
                 running_job_ids=tuple(sorted(controller.running)),
             )
+        controller.release()
         summary = summarize(
             self.jobs, controller.trace, self.sim.machine.num_nodes
         )

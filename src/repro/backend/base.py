@@ -7,8 +7,9 @@ simulator or on a real cluster.  :class:`ExecutionBackend` is that seam:
 a small imperative contract (submit, cancel, update, query accounting,
 drain) plus capability flags, implemented by
 
-* :class:`repro.backend.sim.SimBackend` — the default, wrapping today's
-  ``Environment`` + ``SlurmController`` + ``SlurmAPI`` stack;
+* :class:`repro.backend.sim.SimBackend` — the default, wrapping the
+  simulation :func:`repro.backend.sim.assemble` builds, with jobs run
+  by its sleep launcher;
 * :class:`repro.backend.subprocess_slurm.SubprocessSlurmBackend` — real
   ``sbatch``/``scancel``/``squeue``/``sacct`` subprocess calls in the
   Kive ``slurmlib`` style (state-string parsing, batched accounting
@@ -233,9 +234,9 @@ class ExecutionBackend(abc.ABC):
 class BackendSpec:
     """Picklable, hashable backend selection: name plus plain options.
 
-    This is what rides on :class:`~repro.api.session.SessionSpec` across
-    the sweep engine's process boundary; workers reconstitute the live
-    backend with :func:`create_backend` on the other side.
+    A :class:`~repro.api.session.Session` carries one (the default,
+    ``BackendSpec()``, names the simulator); :func:`create_backend`
+    turns it into the live backend.
     """
 
     name: str = "sim"

@@ -1,21 +1,23 @@
 """The default execution backend: the in-process simulator.
 
-Two things live here:
+Three things live here:
 
 * :func:`assemble` — the one place in the codebase that wires the
   simulation stack together (environment + machine + controller +
-  runtime launcher + observers + faults).  It used to be the body of
-  :meth:`repro.api.session.Session.build`; the session now delegates
-  here, so the native path — and its byte-identical golden traces — is
-  unchanged.
+  runtime launcher + observers + faults).  :meth:`repro.api.session.
+  Session.build`, the sim backend and the ``repro bench sched`` replay
+  (:func:`repro.sweep.bench.replay_sched_trace`) all build through it.
+* :func:`install_sleep_launcher` — runs each started job as a plain
+  sleep for its :class:`~repro.backend.base.JobRequest` payload's
+  duration, exactly what the subprocess backend's
+  ``sbatch --wrap "sleep D"`` does, instead of the Nanos++ application
+  model that :func:`assemble` installs.
 * :class:`SimBackend` — the same stack exposed through the
   :class:`~repro.backend.base.ExecutionBackend` contract, so the
   conformance suite can run the identical scenario matrix against the
   simulator and a real (or fake) Slurm.  Jobs submitted through the
-  contract carry a :class:`~repro.backend.base.JobRequest` payload and
-  are executed by a plain sleep launcher — exactly what the subprocess
-  backend's ``sbatch --wrap "sleep D"`` does — rather than the Nanos++
-  application model, which belongs to the native session path.
+  contract carry a ``JobRequest`` payload and run under the sleep
+  launcher.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from repro.slurm.job import Job, JobClass, JobState
 from repro.slurm.resize import expand_protocol
 
 
-def assemble(session):
+def assemble(session, controller_class=None):
     """Wire up a live simulation for a session (the sim-backend seam).
 
     Experiments, benchmarks, the CLI and the sim backend all go through
     this function (via :meth:`~repro.api.session.Session.build`).
+    ``controller_class`` swaps in another controller, such as the
+    resort-per-pass oracle the bench's ``legacy`` rows replay through.
     """
     # Imported here: repro.api.session imports this module lazily, and
     # these are the assembly-only dependencies.
@@ -56,10 +60,12 @@ def assemble(session):
     from repro.sim.engine import Environment
     from repro.slurm.controller import SlurmController
 
+    if controller_class is None:
+        controller_class = SlurmController
     cluster = session.cluster if session.cluster is not None else marenostrum_production()
     env = Environment()
     machine = cluster.build_machine()
-    controller = SlurmController(env, machine, config=session.slurm)
+    controller = controller_class(env, machine, config=session.slurm)
     telemetry = None
     if session.telemetry is not None:
         telemetry = Telemetry(session.telemetry)
@@ -78,6 +84,32 @@ def assemble(session):
         injector=injector,
         telemetry=telemetry,
     )
+
+
+def install_sleep_launcher(controller) -> None:
+    """Run each started job as a sleep for ``job.payload.duration``.
+
+    Jobs must carry a :class:`~repro.backend.base.JobRequest` payload.
+    The job completes when its sleep ends; a scancel or a time-limit
+    kill interrupts the sleep after the controller has already settled
+    the job's state.
+    """
+    env = controller.env
+
+    def sleep(job: Job):
+        try:
+            yield env.timeout(job.payload.duration)
+        except Interrupt:
+            return
+        if job.job_id in controller.running:
+            controller.finish_job(job, JobState.COMPLETED)
+
+    def launcher(job: Job) -> None:
+        controller.register_job_process(
+            job, env.process(sleep(job), name=f"sleep-{job.job_id}")
+        )
+
+    controller.launcher = launcher
 
 
 @register_backend
@@ -108,9 +140,8 @@ class SimBackend(ExecutionBackend):
         self._sim = session.build()
         self._env = self._sim.env
         self._controller = self._sim.controller
-        self._controller.launcher = self._launch
+        install_sleep_launcher(self._controller)
         self._jobs: Dict[str, Job] = {}
-        self._durations: Dict[int, float] = {}
 
     # -- contract: clock ------------------------------------------------------
     def now(self) -> float:
@@ -122,23 +153,6 @@ class SimBackend(ExecutionBackend):
         if seconds == 0:
             return
         self._env.run(until=self._env.now + seconds)
-
-    # -- the sleep launcher ---------------------------------------------------
-    def _launch(self, job: Job) -> None:
-        duration = self._durations.get(job.job_id, 0.0)
-
-        def body():
-            try:
-                yield self._env.timeout(duration)
-            except Interrupt:
-                # scancel / time-limit: the controller already settled
-                # the job's state before interrupting us.
-                return
-            if job.job_id in self._controller.running:
-                self._controller.finish_job(job, JobState.COMPLETED)
-
-        proc = self._env.process(body(), name=f"sleep-{job.job_id}")
-        self._controller.register_job_process(job, proc)
 
     # -- contract: job control ------------------------------------------------
     def submit(self, request: JobRequest) -> str:
@@ -158,7 +172,6 @@ class SimBackend(ExecutionBackend):
             payload=request,
         )
         self._controller.submit(job)
-        self._durations[job.job_id] = request.duration
         job_id = str(job.job_id)
         self._jobs[job_id] = job
         # Let same-timestamp scheduling happen before the caller returns,

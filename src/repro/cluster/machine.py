@@ -129,6 +129,10 @@ class Machine:
         """Register a callback invoked after every allocation change."""
         self._observers.append(observer)
 
+    def unsubscribe(self, observer: AllocationObserver) -> None:
+        """Remove a callback added by :meth:`subscribe`."""
+        self._observers.remove(observer)
+
     def _notify(self) -> None:
         self.version += 1
         used = self.used_count

@@ -29,7 +29,7 @@ vanishing or growing without limit — million-job benches can run with
 telemetry on and report exactly how much they shed.
 
 Correlation: a :class:`TelemetryConfig` is a frozen, picklable value
-that travels on ``Session``/``SessionSpec``.  A parent (serve job,
+that travels on ``Session``.  A parent (serve job,
 sweep runner) mints an id, derives per-cell child ids with
 :meth:`TelemetryConfig.child`, and process-pool workers build their own
 recorder from the shipped config — worker spans come back tagged with
@@ -54,7 +54,7 @@ DEFAULT_MAX_SPANS = 100_000
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Picklable telemetry settings carried by Session/SessionSpec."""
+    """Picklable telemetry settings carried by a Session."""
 
     correlation_id: Optional[str] = None
     max_spans: int = DEFAULT_MAX_SPANS

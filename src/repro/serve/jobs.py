@@ -197,10 +197,17 @@ class EventBridge(SessionObserver):
     Non-strict by construction (the :class:`SessionObserver` default):
     if buffering ever failed, the dispatch would log and count it
     rather than abort a simulation other subscribers are watching.
+    Keeps the controller it was attached to, whose scheduler tallies
+    the run publishes; that is None when the events come from a
+    backend's accounting records.
     """
 
     def __init__(self, job: ServeJob) -> None:
         self._job = job
+        self.controller = None
+
+    def on_attach(self, controller) -> None:
+        self.controller = controller
 
     def on_event(self, event) -> None:
         self._job.append_event(canonical_line(event))
@@ -361,28 +368,18 @@ class JobManager:
         self._enter_run(job)
         try:
             params = job.params
-            session = (
+            bridge = EventBridge(job)
+            result = (
                 Session(cluster=ClusterConfig(num_nodes=params["nodes"]))
                 .with_seed(params["seed"])
-                .observe(EventBridge(job))
+                .observe(bridge)
                 .with_telemetry(correlation_id=job.id)
+                .with_backend(self.backend, **self.backend_options)
+                .run(job.workload_spec, flexible=params["flexible"])
             )
-            if self.backend != "sim":
-                # Route through the backend seam: the driver feeds the
-                # EventBridge a synthetic trace from backend accounting,
-                # so SSE subscribers see the same event vocabulary.
-                # There is no in-process controller to scrape scheduler
-                # stats from.
-                result = session.with_backend(
-                    self.backend, **self.backend_options
-                ).run(job.workload_spec, flexible=params["flexible"])
-            else:
-                run = session.submit(
-                    job.workload_spec, flexible=params["flexible"]
-                )
-                result = run.execute()
+            if bridge.controller is not None:
                 publish_sched_stats(
-                    default_registry(), run.sim.controller.stats.snapshot()
+                    default_registry(), bridge.controller.stats.snapshot()
                 )
             default_registry().counter(
                 "repro_serve_workloads_total",

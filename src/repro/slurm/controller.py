@@ -97,12 +97,13 @@ class SlurmController:
         env: Environment,
         machine: Machine,
         config: Optional[SlurmConfig] = None,
-        trace: Optional[Trace] = None,
     ) -> None:
         self.env = env
         self.machine = machine
         self.config = config or SlurmConfig()
-        self.trace = trace if trace is not None else Trace()
+        #: A lean controller (``retain_finished`` off) keeps no history
+        #: in its trace either: records reach subscribers only.
+        self.trace = Trace(retain=self.config.retain_finished)
         self.priority_engine = MultifactorPriority(
             self.config.priority, machine.num_nodes
         )
@@ -137,7 +138,8 @@ class SlurmController:
         self.launcher: Optional[Callable[[Job], None]] = None
         self._start_events: Dict[int, Event] = {}
         #: Simulation process executing each running job (registered by
-        #: the runtime layer; used to deliver time-limit kills).
+        #: the launcher; used to deliver kills, dropped when the job
+        #: finishes, is cancelled or is requeued).
         self.job_processes: Dict[int, object] = {}
         #: Forced resize decisions issued by node failures, keyed by job
         #: id; the runtime services them at the next reconfiguring point.
@@ -289,6 +291,7 @@ class SlurmController:
         job.end_time = self.env.now
         del self.running[job.job_id]
         self._running_remove(job)
+        self.job_processes.pop(job.job_id, None)
         self.forced.pop(job.job_id, None)
         self.evacuating.discard(job.job_id)
         self._archive(job)
@@ -302,8 +305,8 @@ class SlurmController:
 
         With ``retain_finished`` off, the finished :class:`Job` and its
         start event are released so controller memory tracks the live
-        jobs only (``job_processes`` is left to its owners — the bench
-        replays that run lean never populate it).
+        jobs only.  Its process is dropped from ``job_processes`` by the
+        caller in either mode.
         """
         self.finished_count += 1
         if self.config.retain_finished:
@@ -328,7 +331,7 @@ class SlurmController:
             del self.running[job.job_id]
             self._running_remove(job)
             self._archive(job)
-            proc = self.job_processes.get(job.job_id)
+            proc = self.job_processes.pop(job.job_id, None)
             if (
                 proc is not None
                 and getattr(proc, "is_alive", False)
@@ -536,8 +539,9 @@ class SlurmController:
         while job.is_running:
             deadline = job.expected_end
             if self.env.now >= deadline:
-                self.finish_job(job, JobState.TIMEOUT)
+                # Read before finish_job, which drops the entry.
                 proc = self.job_processes.get(job.job_id)
+                self.finish_job(job, JobState.TIMEOUT)
                 if proc is not None and getattr(proc, "is_alive", False):
                     proc.interrupt(cause="time-limit")
                 return
@@ -546,6 +550,17 @@ class SlurmController:
     def register_job_process(self, job: Job, process: object) -> None:
         """Let the runtime layer attach the process executing ``job``."""
         self.job_processes[job.job_id] = process
+
+    def release(self) -> None:
+        """Unhook a drained controller from its machine and launcher.
+
+        Both hooks refer back to the controller, so while they are in
+        place a finished simulation (trace, jobs, machine) is freed only
+        by a pass of the cyclic garbage collector, whenever that runs.
+        Without them it is freed as soon as its last user drops it.
+        """
+        self.machine.unsubscribe(self._on_alloc_change)
+        self.launcher = None
 
     # -- reconfiguration policy entry (used by the DMR API) --------------------
     def policy_view(self) -> PolicyView:

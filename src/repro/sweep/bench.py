@@ -7,9 +7,9 @@ Two verbs share this module:
   emitting ``BENCH_sweep.json``: per-artifact wall-clock statistics plus
   per-metric simulated-result statistics with 95% confidence bands.
 * ``repro bench sched`` — the scheduler-scale benchmark: replays large
-  synthetic Feitelson traces (and their SWF round trip) through a bare
-  :class:`~repro.slurm.controller.SlurmController` and, as the
-  ``legacy`` rows, through the resort-per-pass oracle
+  synthetic Feitelson traces (and their SWF round trip) as sleep jobs
+  through the simulation :func:`~repro.backend.sim.assemble` builds
+  and, as the ``legacy`` rows, through the resort-per-pass oracle
   :class:`~repro.testing.oracle.ResortController`; emits
   ``BENCH_sched.json`` with pass counts, wall-clock and the
   comparison-work ratio of the two.
@@ -125,18 +125,21 @@ def replay_sched_trace(
     lean: bool = False,
     telemetry=None,
 ) -> Dict[str, object]:
-    """Replay a scheduler trace through a bare controller; return stats.
+    """Replay a scheduler trace as sleep jobs; return stats.
 
-    Jobs are rigid and carry no application payload: a started job simply
-    occupies its nodes for its trace runtime, so the measurement isolates
-    the scheduler hot path (queue maintenance, FIFO passes, EASY
-    backfill) from the runtime/DMR machinery.  ``incremental=False``
-    replays through the resort-per-pass oracle
+    The simulation is built by :func:`~repro.backend.sim.assemble` on a
+    ``num_nodes`` cluster, with the sleep launcher
+    (:func:`~repro.backend.sim.install_sleep_launcher`) in place of the
+    Nanos++ runtime: jobs are rigid and a started job simply occupies
+    its nodes for its trace runtime, so the measurement isolates the
+    scheduler hot path (queue maintenance, FIFO passes, EASY backfill)
+    from the runtime/DMR machinery.  ``incremental=False`` replays
+    through the resort-per-pass oracle
     (:class:`~repro.testing.oracle.ResortController`) instead of the
     production controller.
 
-    ``lean=True`` replays with a non-retaining trace and without the
-    finished-job archive (:attr:`SlurmConfig.retain_finished` off), so a
+    ``lean=True`` replays with :attr:`SlurmConfig.retain_finished` off,
+    which also makes the controller's trace non-retaining, so a
     million-job replay holds only the live jobs in memory.  Scheduling
     decisions — and therefore every deterministic stat — are identical
     in both modes.
@@ -145,46 +148,39 @@ def replay_sched_trace(
     recording to the replayed controller; the perf budget tests pin its
     overhead on this exact function.
     """
-    from repro.cluster.machine import Machine
-    from repro.metrics.trace import Trace
-    from repro.sim.engine import Environment
-    from repro.slurm.controller import SlurmConfig, SlurmController
+    from repro.api.session import Session
+    from repro.backend.base import JobRequest
+    from repro.backend.sim import assemble, install_sleep_launcher
+    from repro.cluster.configs import ClusterConfig
+    from repro.slurm.controller import SlurmConfig
     from repro.slurm.job import Job
     from repro.testing.oracle import ResortController
 
     if num_nodes is None:
         num_nodes = autosize_cluster(trace)
-    env = Environment()
-    machine = Machine(num_nodes)
-    controller_class = SlurmController if incremental else ResortController
-    controller = controller_class(
-        env,
-        machine,
-        SlurmConfig(
+    session = Session(
+        cluster=ClusterConfig(num_nodes=num_nodes),
+        slurm=SlurmConfig(
             backfill_interval=backfill_interval,
             retain_finished=not lean,
         ),
-        trace=Trace(retain=not lean),
     )
-    if telemetry is not None:
-        controller.telemetry = telemetry
-    runtimes: Dict[int, float] = {}
-
-    def execute(job):
-        yield env.timeout(runtimes[job.job_id])
-        controller.finish_job(job)
-
-    controller.launcher = lambda job: env.process(
-        execute(job), name=f"run-{job.job_id}"
+    sim = assemble(
+        session, controller_class=None if incremental else ResortController
     )
+    env, controller = sim.env, sim.controller
+    controller.telemetry = telemetry
+    install_sleep_launcher(controller)
 
     def submitter():
         for tj in sorted(trace, key=lambda t: t.arrival):
             if tj.arrival > env.now:
                 yield env.timeout(tj.arrival - env.now)
-            job = Job(name=tj.name, num_nodes=tj.nodes, time_limit=tj.limit)
-            controller.submit(job)
-            runtimes[job.job_id] = tj.runtime
+            request = JobRequest(tj.name, tj.nodes, tj.runtime, tj.limit)
+            controller.submit(Job(
+                name=tj.name, num_nodes=tj.nodes, time_limit=tj.limit,
+                payload=request,
+            ))
 
     env.process(submitter(), name="sched-bench-arrivals")
     t0 = time.perf_counter()

@@ -131,15 +131,15 @@ def _execute_artifact_cell(spec: RunSpec) -> Dict[str, float]:
     return metrics_from_csv(registry.render_csv(spec.artifact, seed=spec.seed))
 
 
-def session_spec_for(spec: RunSpec):
-    """Resolve a workload cell's axes into a picklable ``SessionSpec``.
+def session_for(spec: RunSpec):
+    """Resolve a workload cell's axes into the :class:`Session` it runs.
 
-    This is the cell's full execution identity as a session: cluster
-    preset/override, Algorithm 1 policy preset, runtime mode, seed and
-    horizon.  ``SessionSpec.build()`` reconstitutes the session on
-    whichever side of the process boundary the cell runs.
+    This is the cell's full execution identity: cluster preset/override,
+    Algorithm 1 policy preset, runtime mode, seed, horizon and backend.
+    Workers call it on their side of the process boundary, so only the
+    picklable :class:`RunSpec` crosses it.
     """
-    from repro.api.session import DEFAULT_MAX_SIM_TIME, SessionSpec
+    from repro.api.session import DEFAULT_MAX_SIM_TIME, Session
     from repro.backend.base import BackendSpec
     from repro.cluster.configs import (
         ClusterConfig,
@@ -155,17 +155,14 @@ def session_spec_for(spec: RunSpec):
         cluster = marenostrum_preliminary()
     else:
         cluster = marenostrum_production()
-    return SessionSpec(
+    return Session(
         cluster=cluster,
         slurm=SlurmConfig(policy=POLICY_PRESETS[spec.policy]),
         runtime=RuntimeConfig(async_mode=spec.async_mode),
         seed=spec.seed,
         max_sim_time=(DEFAULT_MAX_SIM_TIME if spec.max_sim_time is None
                       else spec.max_sim_time),
-        # Non-sim cells route Session.run through the backend seam on
-        # whichever side of the process boundary they execute.
-        backend=(None if spec.backend == "sim"
-                 else BackendSpec.of(spec.backend)),
+        backend=BackendSpec.of(spec.backend),
     )
 
 
@@ -174,7 +171,7 @@ def _execute_workload_cell(
 ) -> Tuple[Dict[str, float], List[Dict[str, object]]]:
     from repro.workload.generator import fs_workload, realapp_workload
 
-    session = session_spec_for(spec).build().observe(*session_observers)
+    session = session_for(spec).observe(*session_observers)
     if telemetry_config is not None:
         session = session.with_telemetry(telemetry_config)
     if spec.workload == "fs":

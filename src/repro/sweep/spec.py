@@ -8,8 +8,9 @@ Two cell kinds exist:
 * **artifact cells** re-run a registered paper artifact (``fig3``,
   ``table2``, ...) at a given seed and extract its numeric metric table;
 * **workload cells** run a paired fixed/flexible workload comparison on
-  a :class:`~repro.api.session.SessionSpec` assembled from named axes
-  (workload family × size × cluster nodes × policy preset).
+  a :class:`~repro.api.session.Session` the worker resolves from named
+  axes (workload family × size × cluster nodes × policy preset ×
+  backend; ``repro.sweep.runner.session_for``).
 
 Seeding is deterministic by construction: each cell carries its own
 explicit seed (``Sweep.over(seeds=5)`` expands to base, base+1, ...),

@@ -8,7 +8,9 @@ plain function of the controller's ``pending`` and ``running`` dicts.
 :class:`ResortController` keeps it as the reference that the golden-trace
 equivalence tests, the Hypothesis and ``test_queue`` differentials and
 the ``legacy`` rows of ``repro bench sched``
-(``replay_sched_trace(incremental=False)``) compare the controller with.
+(``replay_sched_trace(incremental=False)``, which passes it to
+``repro.backend.sim.assemble`` as its ``controller_class``) compare the
+controller with.
 
 It keeps neither index, so its :class:`~repro.slurm.queue.SchedStats`
 count only what re-sorting costs: one priority key per pending job per

@@ -128,7 +128,7 @@ class SchedTraceJob:
     """One job of a scheduler-scale trace (no application payload).
 
     The ``repro bench sched`` harness replays tens of thousands of these
-    through a bare :class:`~repro.slurm.controller.SlurmController`; the
+    as sleep jobs (:func:`repro.sweep.bench.replay_sched_trace`); the
     full :class:`~repro.workload.spec.JobSpec` (app factory, runtime
     model, DMR machinery) would dominate the measurement and cap the
     feasible trace size.

@@ -111,6 +111,33 @@ class TestExecution:
         assert len(run.jobs) == 3
         assert result.summary.num_jobs == 3
 
+    def test_finished_jobs_release_their_processes(self):
+        session = Session(cluster=marenostrum_preliminary())
+        run = session.submit(fs_workload(6, seed=1, config=SMALL_FS))
+        result = run.execute()
+        assert result.summary.num_jobs == 6
+        assert run.sim.controller.job_processes == {}
+
+    @pytest.mark.no_invariants
+    def test_finished_run_is_freed_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        session = Session(cluster=marenostrum_preliminary())
+        run = session.submit(fs_workload(4, seed=1, config=SMALL_FS))
+        gc.disable()
+        try:
+            result = run.execute()
+            controller = weakref.ref(run.sim.controller)
+            del run, result
+            assert controller() is None
+        finally:
+            gc.enable()
+
+    def test_default_backend_is_the_simulator(self):
+        assert Session().backend == Session().with_backend("sim").backend
+        assert Session().backend.name == "sim"
+
 
 class TestSimulationTimeout:
     def test_timeout_carries_job_state(self):
@@ -137,37 +164,37 @@ class TestSimulationTimeout:
 
 
 class TestSessionSpec:
+    """A session without observers is its own picklable spec: it crosses
+    a process boundary as is and compares equal on the other side."""
+
     def test_spec_round_trip_rebuilds_equivalent_session(self):
         import pickle
 
-        from repro.api import SessionSpec
-        from repro.runtime.nanos import RuntimeConfig
+        from repro.api import TelemetryConfig
 
         session = (
             Session(cluster=marenostrum_preliminary())
             .with_runtime(RuntimeConfig(async_mode=True))
             .with_seed(9)
             .with_max_sim_time(123.0)
+            .with_telemetry(TelemetryConfig(correlation_id="pickled"))
+            .with_backend("slurm", poll_interval=0.5)
         )
-        spec = session.spec()
-        clone = Session.from_spec(pickle.loads(pickle.dumps(spec)))
+        clone = pickle.loads(pickle.dumps(session))
+        assert clone == session
         assert clone.cluster == session.cluster
         assert clone.runtime == session.runtime
         assert clone.seed == 9
         assert clone.max_sim_time == 123.0
-        assert isinstance(spec, SessionSpec)
-
-    def test_spec_drops_observers(self):
-        from repro.api import SessionObserver
-
-        session = Session().observe(SessionObserver())
-        rebuilt = session.spec().build()
-        assert rebuilt.observers == ()
+        assert clone.telemetry == TelemetryConfig(correlation_id="pickled")
+        assert clone.backend == session.backend
 
     def test_spec_runs_reproduce_the_original(self):
+        import pickle
+
         session = Session(cluster=marenostrum_preliminary()).with_seed(3)
         spec = fs_workload(4, seed=3, config=SMALL_FS)
         original = session.run(spec)
-        replayed = Session.from_spec(session.spec()).run(spec)
+        replayed = pickle.loads(pickle.dumps(session)).run(spec)
         assert replayed.makespan == original.makespan
         assert replayed.summary.as_dict() == original.summary.as_dict()

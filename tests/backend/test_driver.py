@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.api.observers import SessionObserver
-from repro.api.session import Session, SessionSpec
+from repro.api.session import Session
 from repro.backend import BackendSpec, JobRequest, run_workload
 from repro.backend.fake_slurmd import SPOOL_ENV
 from repro.backend.sim import SimBackend
@@ -105,11 +105,12 @@ class TestSessionRouting:
             Session().with_backend(spec, extra=1)
 
     def test_spec_round_trip_carries_backend(self):
+        import pickle
+
         session = Session().with_backend("slurm", poll_interval=0.5)
-        spec = session.spec()
-        assert isinstance(spec, SessionSpec)
-        rebuilt = spec.build()
+        rebuilt = pickle.loads(pickle.dumps(session))
         assert rebuilt.backend == session.backend
+        assert rebuilt == session
 
     def test_build_refuses_non_sim_backend(self):
         with pytest.raises(BackendError, match="cannot build"):

@@ -106,13 +106,16 @@ class TestSessionTelemetry:
         assert result.telemetry.dropped > 0
 
     def test_telemetry_config_travels_on_the_spec(self):
+        import pickle
+
         session = Session(cluster=marenostrum_preliminary()).with_telemetry(
             correlation_id="spec"
         )
         assert session.telemetry == TelemetryConfig(correlation_id="spec")
-        spec = session.spec()
-        assert spec.telemetry == session.telemetry
-        assert spec.build().telemetry == session.telemetry
+        clone = pickle.loads(pickle.dumps(session))
+        assert clone.telemetry == session.telemetry
+        result = clone.run(small_spec(num_jobs=3), flexible=True)
+        assert result.telemetry.correlation_id == "spec"
 
 
 class TestObserverErrorMetrics:

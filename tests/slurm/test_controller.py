@@ -6,7 +6,7 @@ from repro.cluster import Machine, NodeState
 from repro.core import ResizeAction, ResizeRequest
 from repro.errors import SchedulerError
 from repro.metrics import EventKind
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.slurm import (
     Job,
     JobClass,
@@ -138,6 +138,40 @@ class TestSubmissionAndDispatch:
         ctl.cancel_job(job)
         assert machine.used_count == 0
         assert job.state is JobState.CANCELLED
+
+    def test_cancel_running_job_releases_its_process(self):
+        env, _, ctl = make_setup()
+        job = ctl.submit(rigid(4))
+        env.run(until=0.1)
+        causes = []
+
+        def body():
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as exc:
+                causes.append(exc.cause)
+
+        ctl.register_job_process(job, env.process(body(), name="sleeper"))
+        env.run(until=0.2)
+        ctl.cancel_job(job)
+        assert ctl.job_processes == {}
+        env.run(until=0.3)
+        assert causes == ["scancel"]
+
+    def test_finished_job_releases_its_process(self):
+        env, _, ctl = make_setup()
+        job = ctl.submit(rigid(4))
+        env.run(until=0.1)
+        ctl.register_job_process(job, object())
+        ctl.finish_job(job)
+        assert ctl.job_processes == {}
+
+    def test_lean_controller_keeps_no_trace_history(self):
+        lean = SlurmController(
+            Environment(), Machine(4), SlurmConfig(retain_finished=False)
+        )
+        assert lean.trace.retain is False
+        assert SlurmController(Environment(), Machine(4)).trace.retain is True
 
     def test_all_done(self):
         env, _, ctl = make_setup()

@@ -98,6 +98,22 @@ def test_experiments_md_covers_every_figure():
     assert "Table I" in text
 
 
+def test_every_registered_artifact_has_a_digest():
+    """``tests/test_artifact_digests.py`` pins every artifact the registry
+    serves, and nothing that is no longer served."""
+    import json
+
+    from repro.api.registry import builtin_registry
+
+    path = REPO / "tests" / "goldens" / "artifact_digests.json"
+    committed = json.loads(path.read_text())["artifacts"]
+    registry = builtin_registry()
+    assert sorted(committed) == sorted(registry.names())
+    for name in registry.names():
+        forms = {"text", "csv"} if registry.get(name).supports_csv else {"text"}
+        assert set(committed[name]) == forms, name
+
+
 #: Files whose ``python -m repro ...`` command lines must parse.
 COMMAND_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md",
                 ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
