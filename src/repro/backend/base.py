@@ -135,6 +135,13 @@ class ExecutionBackend(abc.ABC):
         """Static capability flags for this backend instance."""
         return self.CAPABILITIES
 
+    @property
+    def live_observers(self) -> Tuple[object, ...]:
+        """Session observers this backend already feeds its events to
+        as they happen; :func:`~repro.backend.driver.run_workload` does
+        not replay the rebuilt trace to them."""
+        return ()
+
     # -- clock --------------------------------------------------------------
     @abc.abstractmethod
     def now(self) -> float:

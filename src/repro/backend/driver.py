@@ -189,7 +189,14 @@ def run_workload(
     telemetry = None
     if session is not None and session.telemetry is not None:
         telemetry = Telemetry(session.telemetry)
-    observers = tuple(session.observers) if session is not None else ()
+    observers: Tuple[object, ...] = ()
+    if session is not None:
+        # Each event reaches an observer once: those the backend feeds
+        # live do not see the rebuilt trace as well.
+        live = {id(obs) for obs in backend.live_observers}
+        observers = tuple(
+            obs for obs in session.observers if id(obs) not in live
+        )
 
     wall_start = backend.now()
     t0 = wall_start

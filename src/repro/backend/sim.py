@@ -143,6 +143,12 @@ class SimBackend(ExecutionBackend):
         install_sleep_launcher(self._controller)
         self._jobs: Dict[str, Job] = {}
 
+    @property
+    def live_observers(self) -> Tuple[object, ...]:
+        """The observers of the session this backend was built from,
+        which :meth:`Session.build` attached to the live trace."""
+        return self._session.observers
+
     # -- contract: clock ------------------------------------------------------
     def now(self) -> float:
         return self._env.now

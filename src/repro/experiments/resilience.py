@@ -31,7 +31,7 @@ from repro.cluster.configs import marenostrum_preliminary
 from repro.errors import SimulationTimeout
 from repro.faults import FaultPlan
 from repro.metrics.report import format_csv, format_table
-from repro.metrics.trace import EventKind
+from repro.metrics.trace import EventKind, row_get
 from repro.runtime.nanos import RuntimeConfig
 from repro.testing import InvariantObserver
 from repro.workload.spec import WorkloadSpec
@@ -199,8 +199,8 @@ def _run_mechanism(
         # decision into a requeue that never shrinks.
         forced_shrinks=sum(
             1
-            for e in trace.of_kind(EventKind.DMR_CHECK)
-            if e.data.get("forced")
+            for row in trace.rows(EventKind.DMR_CHECK)
+            if row_get(row, "forced")
         ),
         checkpoint_writes=len(trace.of_kind(EventKind.CHECKPOINT_WRITE)),
     )

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.metrics.trace import EventKind, Trace
+from repro.metrics.trace import EventKind, Trace, row_get
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,12 @@ class StepSeries:
         return [self.at(t) for t in times]
 
 
-def _dedupe(points: List[Tuple[float, float]]) -> StepSeries:
-    """Keep only the last value per timestamp."""
-    times: List[float] = []
-    values: List[float] = []
+def _dedupe(points: Iterable[Tuple[float, float]]) -> StepSeries:
+    """Keep only the last value per timestamp; every series starts at 0 at 0.0."""
+    times: List[float] = [0.0]
+    values: List[float] = [0.0]
     for t, v in points:
-        if times and times[-1] == t:
+        if times[-1] == t:
             values[-1] = v
         else:
             times.append(t)
@@ -72,46 +72,42 @@ def _dedupe(points: List[Tuple[float, float]]) -> StepSeries:
 
 def allocated_nodes_series(trace: Trace) -> StepSeries:
     """Allocated node count over time (top plots of Figs. 4-6, 12)."""
-    points = [(0.0, 0.0)] + [
-        (e.time, float(e["nodes_used"]))
-        for e in trace.of_kind(EventKind.ALLOC_CHANGE)
-    ]
-    return _dedupe(points)
+    return _dedupe(
+        (t, float(used))
+        for t, used in trace.iter_series(EventKind.ALLOC_CHANGE, "nodes_used")
+    )
 
 
 def running_jobs_series(trace: Trace, include_resizers: bool = False) -> StepSeries:
     """Number of running jobs over time."""
-    resizer_ids = {
-        e.job_id
-        for e in trace.of_kind(EventKind.JOB_SUBMIT)
-        if e.data.get("resizer")
+    skipped = set() if include_resizers else {
+        row[2]
+        for row in trace.rows(EventKind.JOB_SUBMIT)
+        if row_get(row, "resizer")
     }
-    points: List[Tuple[float, float]] = [(0.0, 0.0)]
+    start = EventKind.JOB_START.value
+    points: List[Tuple[float, float]] = []
     running: set = set()
-    for e in trace.events:
-        if e.job_id in resizer_ids and not include_resizers:
+    # A requeued job is pending again until its restart's JOB_START.
+    for row in trace.rows(
+        EventKind.JOB_START, EventKind.JOB_END, EventKind.JOB_CANCEL,
+        EventKind.JOB_REQUEUE,
+    ):
+        job_id = row[2]
+        if job_id in skipped:
             continue
-        if e.kind is EventKind.JOB_START:
-            running.add(e.job_id)
-            points.append((e.time, float(len(running))))
-        elif e.kind in (
-            EventKind.JOB_END,
-            EventKind.JOB_CANCEL,
-            # A requeued job is pending again until its restart's
-            # JOB_START.
-            EventKind.JOB_REQUEUE,
-        ):
-            if e.job_id in running:
-                running.discard(e.job_id)
-                points.append((e.time, float(len(running))))
+        if row[1][0] == start:
+            running.add(job_id)
+            points.append((row[0], float(len(running))))
+        elif job_id in running:
+            running.discard(job_id)
+            points.append((row[0], float(len(running))))
     return _dedupe(points)
 
 
 def completed_jobs_series(trace: Trace) -> StepSeries:
     """Cumulative completed-job count (the throughput curves)."""
-    count = 0
-    points: List[Tuple[float, float]] = [(0.0, 0.0)]
-    for e in trace.of_kind(EventKind.JOB_END):
-        count += 1
-        points.append((e.time, float(count)))
-    return _dedupe(points)
+    return _dedupe(
+        (row[0], float(count))
+        for count, row in enumerate(trace.rows(EventKind.JOB_END), 1)
+    )

@@ -5,10 +5,20 @@ Every interesting scheduler/runtime occurrence is recorded into a
 throughput curves) are pure functions of the trace, which keeps the
 simulation and its measurement decoupled.
 
+A trace stores each record as one flat *row* tuple,
+``(time, shape, job_id, *values)``.  The *shape* is an interned tuple of
+strings, ``(kind.value, key, ...)``, shared by every row of the same
+form, and each value is an atom (float, int, str, bool, None) or a tuple
+of ints.  A row therefore holds no object the cyclic garbage collector
+has to follow, so CPython stops tracking it at its first young-generation
+pass, and it costs about 100 bytes.  :class:`TraceEvent` is a read-side
+view of one row, built only when something reads the trace or a live
+subscriber exists.
+
 A trace has two consumption modes:
 
-* **retained** (the default): events accumulate in :attr:`Trace.events`
-  for post-hoc queries — what every experiment driver uses;
+* **retained** (the default): rows accumulate for post-hoc queries —
+  what every experiment driver uses;
 * **streaming** (``Trace(retain=False)``): events are dispatched to the
   live subscribers and dropped, so memory stays flat no matter how long
   the simulation runs.  Million-job benches and the spill-to-disk writer
@@ -50,32 +60,112 @@ class EventKind(enum.Enum):
     JOB_REQUEUE = "job_requeue"
 
 
-class TraceEvent:
-    """One record in the simulation trace.
+#: Row = ``(time, shape, job_id, *values)``; the first value's index.
+_VALUES = 3
 
-    A fixed-layout ``__slots__`` record rather than a dataclass: traces
-    are the simulation's highest-volume allocation (several events per
-    job), and the slotted layout halves the per-event footprint and
-    construction cost.  Treat instances as immutable — they are shared
-    between the trace, its subscribers and any spilled streams.
+_KIND_OF: Dict[str, EventKind] = {kind.value: kind for kind in EventKind}
+#: Every shape ever made, keyed by itself, so equal shapes are one object.
+_SHAPES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+def shape(kind: EventKind, *keys: str) -> Tuple[str, ...]:
+    """The interned row shape ``(kind.value, *keys)``.
+
+    Hot record sites build theirs once at import and pass positional
+    values in ``keys`` order: ``trace.record(t, SHAPE, job_id, *values)``.
+    """
+    key = (kind.value, *keys)
+    return _SHAPES.setdefault(key, key)
+
+
+# The shapes of the high-volume records.
+JOB_SUBMIT = shape(EventKind.JOB_SUBMIT, "name", "nodes", "flexible", "resizer")
+JOB_START = shape(EventKind.JOB_START, "nodes", "node_ids", "resizer")
+JOB_END = shape(EventKind.JOB_END, "state")
+ALLOC_CHANGE = shape(EventKind.ALLOC_CHANGE, "nodes_used", "nodes_total")
+RESIZE_DECISION = shape(
+    EventKind.RESIZE_DECISION, "action", "target", "reason", "beneficiary"
+)
+DMR_CHECK = shape(EventKind.DMR_CHECK, "blocking", "applied")
+
+
+class _Layout:
+    """What readers need to know about one shape, computed once."""
+
+    __slots__ = ("position", "order")
+
+    def __init__(self, shape: Tuple[str, ...]) -> None:
+        #: Row index of each key's value.
+        self.position = {key: i for i, key in enumerate(shape[1:], _VALUES)}
+        #: ``(key, row index)`` in the canonical (sorted) key order.
+        self.order = tuple(sorted(self.position.items()))
+
+
+_LAYOUTS: Dict[Tuple[str, ...], _Layout] = {}
+
+
+def _layout(shape: Tuple[str, ...]) -> _Layout:
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        layout = _LAYOUTS[shape] = _Layout(shape)
+    return layout
+
+
+def row_kind(row: tuple) -> EventKind:
+    """The :class:`EventKind` of a row."""
+    return _KIND_OF[row[1][0]]
+
+
+def row_get(row: tuple, key: str, default: Any = None) -> Any:
+    """A row's value for ``key`` (``default`` when the row has none)."""
+    index = _layout(row[1]).position.get(key)
+    return default if index is None else row[index]
+
+
+def row_data(row: tuple) -> Dict[str, Any]:
+    """A row's values as a ``{key: value}`` dict, in recording order."""
+    return dict(zip(row[1][1:], row[_VALUES:]))
+
+
+class TraceEvent:
+    """A read-side view of one trace row.
+
+    Reads like a record: ``time``, ``kind``, ``job_id``, ``data`` (a
+    dict built on first access) and ``event[key]``.  The trace builds a
+    view once per record for its live subscribers, and on demand for
+    post-hoc readers; the row it wraps is immutable.
     """
 
-    __slots__ = ("time", "kind", "job_id", "data")
+    __slots__ = ("row", "_data")
 
-    def __init__(
-        self,
-        time: float,
-        kind: EventKind,
-        job_id: Optional[int] = None,
-        data: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.time = time
-        self.kind = kind
-        self.job_id = job_id
-        self.data = {} if data is None else data
+    def __init__(self, row: tuple) -> None:
+        self.row = row
+        self._data: Optional[Dict[str, Any]] = None
+
+    @property
+    def time(self) -> float:
+        return self.row[0]
+
+    @property
+    def kind(self) -> EventKind:
+        return _KIND_OF[self.row[1][0]]
+
+    @property
+    def job_id(self) -> Optional[int]:
+        return self.row[2]
+
+    @property
+    def data(self) -> Dict[str, Any]:
+        data = self._data
+        if data is None:
+            data = self._data = row_data(self.row)
+        return data
 
     def __getitem__(self, key: str) -> Any:
-        return self.data[key]
+        index = _layout(self.row[1]).position.get(key)
+        if index is None:
+            raise KeyError(key)
+        return self.row[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceEvent):
@@ -98,21 +188,22 @@ class Trace:
     """Event log with small query helpers and live subscription.
 
     Besides the post-hoc queries, a trace supports *live* consumption:
-    :meth:`subscribe` registers a callback invoked with every event the
-    moment it is recorded.  The :class:`repro.api.Session` observer
-    machinery and the spill-to-disk writer are built on this hook.
+    :meth:`subscribe` registers a callback invoked with a
+    :class:`TraceEvent` for every record the moment it is recorded.  The
+    :class:`repro.api.Session` observer machinery and the spill-to-disk
+    writer are built on this hook.
 
-    ``retain=False`` turns off in-memory accumulation: :attr:`events`
-    stays empty, ``len``/:meth:`last_time` keep working from counters,
-    and the post-hoc query helpers raise :class:`~repro.errors.TraceError`
+    ``retain=False`` turns off in-memory accumulation: no rows are kept,
+    ``len``/:meth:`last_time` keep working from counters, and the
+    post-hoc query helpers raise :class:`~repro.errors.TraceError`
     instead of silently answering from an empty log.
     """
 
-    __slots__ = ("events", "retain", "_subscribers", "_count", "_last_time")
+    __slots__ = ("retain", "_rows", "_subscribers", "_count", "_last_time")
 
     def __init__(self, retain: bool = True) -> None:
-        self.events: List[TraceEvent] = []
         self.retain = retain
+        self._rows: List[tuple] = []
         self._subscribers: List[Any] = []
         self._count = 0
         self._last_time = 0.0
@@ -128,48 +219,90 @@ class Trace:
     def record(
         self,
         time: float,
-        kind: EventKind,
+        kind,
         job_id: Optional[int] = None,
+        *values: Any,
         **data: Any,
-    ) -> TraceEvent:
-        event = TraceEvent(time, kind, job_id, data)
+    ) -> None:
+        """Add one record; the only way into a trace.
+
+        Hot sites pass a prebuilt :func:`shape` and positional values
+        (``record(t, JOB_END, job_id, "completed")``); any other site
+        passes an :class:`EventKind` and keywords
+        (``record(t, EventKind.JOB_END, job_id, state="completed")``).
+        Both forms of the same record make the same row.  Values must be
+        atoms or tuples of ints, so the row stays untracked by the cyclic
+        collector.
+        """
+        if kind.__class__ is tuple:
+            row = (time, kind, job_id, *values)
+        elif values:
+            raise TypeError(
+                "record(): pass values by keyword with an EventKind, "
+                "or positionally with a shape"
+            )
+        else:
+            # The table is keyed on the kind's value string, not on the
+            # member, whose hash runs in Python.
+            key = (kind._value_, *data)
+            row = (time, _SHAPES.setdefault(key, key), job_id, *data.values())
         self._count += 1
         self._last_time = time
         if self.retain:
-            self.events.append(event)
-        for callback in self._subscribers:
-            callback(event)
-        return event
+            self._rows.append(row)
+        if self._subscribers:
+            event = TraceEvent(row)
+            for callback in self._subscribers:
+                callback(event)
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        self._require_retained("iterate")
-        return iter(self.events)
+        return map(TraceEvent, self.rows())
 
-    def _require_retained(self, what: str) -> None:
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every retained record as a new list of views (empty when the
+        trace keeps none); iterate the trace or use a query to avoid
+        building the whole list."""
+        return list(map(TraceEvent, self._rows))
+
+    def rows(self, *kinds: EventKind) -> Iterator[tuple]:
+        """The raw rows of the given kind(s) (all rows without any), in
+        recording order; every post-hoc read goes through here."""
         if not self.retain and self._count:
             raise TraceError(
-                f"cannot {what} a non-retaining trace: events were "
+                "cannot read a non-retaining trace: events were "
                 "dispatched to live subscribers and dropped "
                 "(construct the Trace with retain=True for post-hoc queries)"
             )
+        if not kinds:
+            return iter(self._rows)
+        wanted = {kind.value for kind in kinds}
+        return (row for row in self._rows if row[1][0] in wanted)
 
     def of_kind(self, *kinds: EventKind) -> List[TraceEvent]:
         """All events of the given kind(s), in time order."""
-        self._require_retained("query")
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
+        return list(map(TraceEvent, self.rows(*kinds)))
 
     def of_job(self, job_id: int) -> List[TraceEvent]:
-        self._require_retained("query")
-        return [e for e in self.events if e.job_id == job_id]
+        return [TraceEvent(row) for row in self.rows() if row[2] == job_id]
+
+    def iter_series(self, kind: EventKind, key: str) -> Iterator[Tuple[float, Any]]:
+        """Lazy :meth:`series`."""
+        shape, index = None, 0
+        for row in self.rows(kind):
+            if row[1] is not shape:
+                shape = row[1]
+                index = _layout(shape).position.get(key)
+                if index is None:
+                    raise KeyError(key)
+            yield row[0], row[index]
 
     def series(self, kind: EventKind, key: str) -> List[Tuple[float, Any]]:
         """(time, data[key]) pairs for every event of ``kind``."""
-        self._require_retained("query")
-        return [(e.time, e.data[key]) for e in self.events if e.kind is kind]
+        return list(self.iter_series(kind, key))
 
     def last_time(self) -> float:
         """Timestamp of the latest event (0.0 for an empty trace)."""
@@ -185,12 +318,17 @@ def canonical_line(event: TraceEvent) -> str:
     The golden-trace suite (tests/slurm/test_golden_traces.py) pins the
     scheduler's behaviour on these lines.
     """
+    return _render(event.row)
+
+
+def _render(row: tuple) -> str:
+    shape = row[1]
     data = " ".join(
-        f"{key}={_canonical_value(event.data[key])}"
-        for key in sorted(event.data)
+        f"{key}={_canonical_value(row[index])}"
+        for key, index in _layout(shape).order
     )
-    job = "-" if event.job_id is None else str(event.job_id)
-    return f"{event.time!r} {event.kind.value} {job} {data}".rstrip()
+    job = "-" if row[2] is None else str(row[2])
+    return f"{row[0]!r} {shape[0]} {job} {data}".rstrip()
 
 
 def _canonical_value(value: Any) -> str:
@@ -203,12 +341,21 @@ def _canonical_value(value: Any) -> str:
 
 def canonical_lines(trace: Trace) -> List[str]:
     """All trace events as canonical lines, in recording order."""
-    return [canonical_line(e) for e in trace]
+    return [_render(row) for row in trace.rows()]
 
 
 def trace_digest(trace: Trace) -> str:
-    """SHA-256 over the canonical rendering of a trace."""
-    return text_digest("\n".join(canonical_lines(trace)))
+    """SHA-256 over the canonical rendering of a trace.
+
+    Equals ``text_digest("\\n".join(canonical_lines(trace)))``; the lines
+    are hashed one at a time, so no list of lines or joined text is built.
+    """
+    sha = hashlib.sha256()
+    separator = ""
+    for row in trace.rows():
+        sha.update((separator + _render(row)).encode("utf-8"))
+        separator = "\n"
+    return sha.hexdigest()
 
 
 def text_digest(text: str) -> str:

@@ -84,7 +84,7 @@ def spans_from_trace(trace) -> List[Span]:
     recorded during simulation (golden digests stay byte-identical) and
     the intervals are reconstructed here at export time.
     """
-    from repro.metrics.trace import EventKind
+    from repro.metrics.trace import EventKind, row_data, row_kind
 
     instants_on_job_track = {
         EventKind.JOB_SUBMIT: "job.submit",
@@ -112,43 +112,43 @@ def spans_from_trace(trace) -> List[Span]:
     spans: List[Span] = []
     running_since: Dict[int, float] = {}
     pending_decision: Dict[int, Tuple[float, Dict[str, object]]] = {}
-    for event in trace.events:
-        kind, job_id = event.kind, event.job_id
+    for row in trace.rows():
+        time, kind, job_id = row[0], row_kind(row), row[2]
         track = f"job {job_id}" if job_id is not None else "faults"
         if kind is EventKind.JOB_START:
-            running_since[job_id] = event.time
+            running_since[job_id] = time
         elif kind in (EventKind.JOB_END, EventKind.JOB_CANCEL,
                       EventKind.JOB_REQUEUE):
             start = running_since.pop(job_id, None)
             if start is not None:
                 spans.append(Span(
-                    "job.run", start, event.time, CLOCK_SIM, track,
+                    "job.run", start, time, CLOCK_SIM, track,
                     {"job_id": job_id, "outcome": kind.value},
                 ))
         if kind is EventKind.RESIZE_DECISION:
-            pending_decision[job_id] = (event.time, dict(event.data))
+            data = row_data(row)
+            pending_decision[job_id] = (time, data)
             spans.append(Span(
-                "resize.decision", event.time, None, CLOCK_SIM, track,
-                {"job_id": job_id, **event.data},
+                "resize.decision", time, None, CLOCK_SIM, track,
+                {"job_id": job_id, **data},
             ))
         elif kind in decision_acks and job_id in pending_decision:
             decided_at, data = pending_decision.pop(job_id)
             spans.append(Span(
-                "resize.decision_to_ack", decided_at, event.time,
+                "resize.decision_to_ack", decided_at, time,
                 CLOCK_SIM, track,
                 {"job_id": job_id, "ack": kind.value, **data},
             ))
         name = instants_on_job_track.get(kind)
         if name is not None:
             spans.append(Span(
-                name, event.time, None, CLOCK_SIM, track,
-                {"job_id": job_id, **event.data},
+                name, time, None, CLOCK_SIM, track,
+                {"job_id": job_id, **row_data(row)},
             ))
         name = fault_kinds.get(kind)
         if name is not None:
             spans.append(Span(
-                name, event.time, None, CLOCK_SIM, "faults",
-                dict(event.data),
+                name, time, None, CLOCK_SIM, "faults", row_data(row),
             ))
     # Anything still running when the trace ends stays open-ended; emit
     # it as an instant so the track is not silently empty.

@@ -24,7 +24,7 @@ from repro.core.actions import DecisionReason, ResizeAction, ResizeDecision
 from repro.core.dmr import INHIBITED, DMRSession
 from repro.core.handler import OffloadHandler
 from repro.errors import RuntimeAPIError
-from repro.metrics.trace import EventKind
+from repro.metrics.trace import DMR_CHECK, EventKind
 from repro.sim.events import Event
 from repro.slurm.controller import SlurmController
 from repro.slurm.job import Job, JobState
@@ -284,11 +284,9 @@ class NanosRuntime:
         self.check_count += 1
         round_trip = self._round_trip
         self.controller.trace.record(
-            self.env.now,
-            EventKind.DMR_CHECK,
-            job.job_id,
-            blocking=round_trip is not None,
-            applied=None if resize is None else resize.action.value,
+            self.env.now, DMR_CHECK, job.job_id,
+            round_trip is not None,
+            None if resize is None else resize.action.value,
         )
         return round_trip, resize
 

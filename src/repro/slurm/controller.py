@@ -50,7 +50,15 @@ from repro.core.actions import (
     ResizeRequest,
 )
 from repro.errors import SchedulerError
-from repro.metrics.trace import EventKind, Trace
+from repro.metrics.trace import (
+    ALLOC_CHANGE,
+    JOB_END,
+    JOB_START,
+    JOB_SUBMIT,
+    RESIZE_DECISION,
+    EventKind,
+    Trace,
+)
 from repro.obs.spans import PassSpan
 from repro.sim.engine import Environment
 from repro.sim.events import Event
@@ -162,9 +170,10 @@ class SlurmController:
         #: after a pass that started a job).
         self._quiet_epoch: Optional[int] = None
         #: Each running job's last no-action decision, keyed on
-        #: ``(epoch, size, effective request)``.
+        #: ``(epoch, size, effective request)``, with the values of its
+        #: ``RESIZE_DECISION`` record.
         self._no_action: Dict[
-            int, Tuple[int, int, ResizeRequest, ResizeDecision]
+            int, Tuple[int, int, ResizeRequest, ResizeDecision, tuple]
         ] = {}
 
         machine.subscribe(self._on_alloc_change)
@@ -172,8 +181,7 @@ class SlurmController:
     # -- machine observer --------------------------------------------------
     def _on_alloc_change(self, used: int) -> None:
         self.trace.record(
-            self.env.now, EventKind.ALLOC_CHANGE, nodes_used=used,
-            nodes_total=self.machine.num_nodes,
+            self.env.now, ALLOC_CHANGE, None, used, self.machine.num_nodes
         )
 
     # -- queue introspection -------------------------------------------------
@@ -261,13 +269,8 @@ class SlurmController:
         self.queue.add(job, self.env.now)
         self._start_events[job.job_id] = Event(self.env)
         self.trace.record(
-            self.env.now,
-            EventKind.JOB_SUBMIT,
-            job.job_id,
-            name=job.name,
-            nodes=job.num_nodes,
-            flexible=job.is_flexible,
-            resizer=job.is_resizer,
+            self.env.now, JOB_SUBMIT, job.job_id,
+            job.name, job.num_nodes, job.is_flexible, job.is_resizer,
         )
         self.request_schedule()
         self._ensure_backfill_thread()
@@ -295,9 +298,7 @@ class SlurmController:
         self.forced.pop(job.job_id, None)
         self.evacuating.discard(job.job_id)
         self._archive(job)
-        self.trace.record(
-            self.env.now, EventKind.JOB_END, job.job_id, state=state.value
-        )
+        self.trace.record(self.env.now, JOB_END, job.job_id, state.value)
         self.request_schedule()
 
     def _archive(self, job: Job) -> None:
@@ -521,12 +522,8 @@ class SlurmController:
         self.running[job.job_id] = job
         self._running_insert(job)
         self.trace.record(
-            self.env.now,
-            EventKind.JOB_START,
-            job.job_id,
-            nodes=job.num_nodes,
-            node_ids=nodes,
-            resizer=job.is_resizer,
+            self.env.now, JOB_START, job.job_id,
+            job.num_nodes, nodes, job.is_resizer,
         )
         self._start_events[job.job_id].succeed(job)
         if self.config.enforce_time_limits and not job.is_resizer:
@@ -584,7 +581,8 @@ class SlurmController:
 
         A job's no-action decision is reused while the :meth:`epoch`, the
         job's size and its effective request are unchanged; the decision
-        is recorded in the trace either way.
+        is recorded in the trace either way (a reused one from its kept
+        record values, without reading an enum).
         """
         if job.job_id not in self.running:
             raise SchedulerError(f"job {job.job_id} is not running")
@@ -598,21 +596,21 @@ class SlurmController:
             and kept[1] == size
             and (kept[2] is request or kept[2] == request)
         ):
-            decision = kept[3]
+            decision, values = kept[3], kept[4]
             self.stats.decisions_reused += 1
         else:
             decision = self.policy.decide(job, request, self.policy_view())
+            values = (
+                decision.action.value,
+                decision.target_procs,
+                decision.reason.value,
+                decision.beneficiary_job_id,
+            )
             if decision.action is ResizeAction.NO_ACTION:
-                self._no_action[job.job_id] = (epoch, size, request, decision)
-        self.trace.record(
-            self.env.now,
-            EventKind.RESIZE_DECISION,
-            job.job_id,
-            action=decision.action.value,
-            target=decision.target_procs,
-            reason=decision.reason.value,
-            beneficiary=decision.beneficiary_job_id,
-        )
+                self._no_action[job.job_id] = (
+                    epoch, size, request, decision, values
+                )
+        self.trace.record(self.env.now, RESIZE_DECISION, job.job_id, *values)
         if (
             decision.action is ResizeAction.SHRINK
             and decision.beneficiary_job_id is not None

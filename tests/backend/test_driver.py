@@ -14,6 +14,7 @@ from repro.backend.sim import SimBackend
 from repro.cluster.configs import ClusterConfig
 from repro.errors import BackendError
 from repro.metrics.trace import EventKind
+from repro.slurm.controller import SlurmController
 
 
 def small_session():
@@ -67,6 +68,26 @@ class TestDriverOverSim:
         assert kinds[EventKind.JOB_START] == 4
         assert kinds[EventKind.JOB_END] == 4
         assert len(seen) > 8  # plus alloc changes
+
+    def test_observer_of_the_backend_session_sees_each_event_once(self):
+        attached = []
+        seen = []
+        observer = SessionObserver()
+        observer.on_attach = attached.append
+        observer.on_event = seen.append
+        session = small_session().observe(observer)
+        spec = session.fs_workload(3)
+        backend = SimBackend(session)
+        try:
+            run_workload(backend, spec, session=session)
+        finally:
+            backend.close()
+
+        assert len(attached) == 1
+        assert isinstance(attached[0], SlurmController)
+        kinds = Counter(event.kind for event in seen)
+        assert kinds[EventKind.JOB_SUBMIT] == 3
+        assert kinds[EventKind.JOB_END] == 3
 
     def test_invariant_observer_watches_a_backend_routed_run(self):
         from repro.testing import InvariantObserver

@@ -44,8 +44,8 @@ def test_streaming_digest_matches_retained_digest_incrementally(tmp_path):
     trace = Trace()
     writer = StreamingTraceWriter(tmp_path / "t.log")
     for i in range(5):
-        event = trace.record(float(i), EventKind.JOB_SUBMIT, i, name=f"j{i}")
-        writer(event)
+        trace.record(float(i), EventKind.JOB_SUBMIT, i, name=f"j{i}")
+        writer(trace.events[-1])
         assert writer.digest == trace_digest(trace)
     writer.close()
 

@@ -1,6 +1,19 @@
 """Tests for the trace event log."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.metrics import EventKind, Trace
+from repro.metrics.trace import (
+    JOB_END,
+    _canonical_value,
+    canonical_line,
+    canonical_lines,
+    shape,
+    text_digest,
+    trace_digest,
+)
 
 
 def test_record_and_len():
@@ -43,7 +56,8 @@ def test_series_extraction():
 
 def test_event_getitem():
     tr = Trace()
-    e = tr.record(1.0, EventKind.JOB_START, 1, nodes=16)
+    tr.record(1.0, EventKind.JOB_START, 1, nodes=16)
+    (e,) = tr
     assert e["nodes"] == 16
 
 
@@ -58,3 +72,95 @@ def test_iteration():
     tr = Trace()
     tr.record(1.0, EventKind.JOB_SUBMIT, 1)
     assert [e.time for e in tr] == [1.0]
+
+
+# -- rows, shapes and the canonical rendering ---------------------------------
+
+#: Names ``record`` binds itself, so they cannot be data keys.
+_RESERVED = {"self", "time", "kind", "job_id"}
+
+_keys = st.lists(
+    st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True).filter(
+        lambda key: key not in _RESERVED
+    ),
+    unique=True,
+    max_size=5,
+)
+_atoms = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(), st.integers()),
+    st.lists(st.integers(min_value=0), max_size=4).map(tuple),
+)
+_records = st.tuples(
+    st.floats(min_value=0, allow_nan=False),
+    st.sampled_from(EventKind),
+    st.one_of(st.none(), st.integers(min_value=1)),
+    _keys.flatmap(
+        lambda keys: st.fixed_dictionaries({key: _atoms for key in keys})
+    ),
+)
+
+
+def _reference_line(time, kind, job_id, data):
+    """The canonical line as rendered from a keyword dict."""
+    body = " ".join(f"{key}={_canonical_value(data[key])}" for key in sorted(data))
+    job = "-" if job_id is None else str(job_id)
+    return f"{time!r} {kind.value} {job} {body}".rstrip()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records, max_size=6))
+def test_rows_render_digest_and_match_across_forms(records):
+    by_keyword, by_shape = Trace(), Trace()
+    for time, kind, job_id, data in records:
+        by_keyword.record(time, kind, job_id, **data)
+        by_shape.record(time, shape(kind, *data), job_id, *data.values())
+
+    rows = list(by_keyword.rows())
+    assert rows == list(by_shape.rows())
+    assert all(a[1] is b[1] for a, b in zip(rows, by_shape.rows()))
+    assert canonical_lines(by_keyword) == [
+        _reference_line(*record) for record in records
+    ]
+    assert [canonical_line(event) for event in by_shape] == canonical_lines(
+        by_keyword
+    )
+    assert trace_digest(by_keyword) == text_digest(
+        "\n".join(canonical_lines(by_keyword))
+    )
+
+
+def test_view_reads_like_a_record():
+    tr = Trace()
+    tr.record(2.5, EventKind.JOB_START, 7, nodes=2, node_ids=(4, 5))
+    (event,) = tr
+    assert (event.time, event.kind, event.job_id) == (2.5, EventKind.JOB_START, 7)
+    assert event.data == {"nodes": 2, "node_ids": (4, 5)}
+    assert list(event.data) == ["nodes", "node_ids"]  # recording order
+    assert event["node_ids"] == (4, 5)
+    with pytest.raises(KeyError):
+        event["missing"]
+    assert event == tr.of_job(7)[0]
+    assert repr(event) == (
+        "TraceEvent(time=2.5, kind=<EventKind.JOB_START: 'job_start'>, "
+        "job_id=7, data={'nodes': 2, 'node_ids': (4, 5)})"
+    )
+
+
+def test_record_returns_nothing_and_builds_one_view_per_subscribed_record():
+    tr = Trace()
+    seen = []
+    tr.subscribe(seen.append)
+    tr.subscribe(seen.append)
+    assert tr.record(1.0, JOB_END, 3, "completed") is None
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].data == {"state": "completed"}
+
+
+def test_keyword_form_takes_no_positional_values():
+    with pytest.raises(TypeError):
+        Trace().record(1.0, EventKind.JOB_END, 3, "completed")

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Machine, NodeState
 from repro.core import ResizeAction, ResizeRequest
 from repro.errors import SchedulerError
-from repro.metrics import EventKind
+from repro.metrics import EventKind, Trace, canonical_line, canonical_lines
 from repro.sim import Environment, Interrupt
 from repro.slurm import (
     Job,
@@ -573,6 +573,23 @@ class TestDecisionReuse:
         # Both calls are recorded: the trace does not show the reuse.
         decisions = ctl.trace.of_kind(EventKind.RESIZE_DECISION)
         assert len(decisions) == 2 and decisions[0].data == decisions[1].data
+
+    def test_reused_decision_records_the_line_of_a_fresh_one(self):
+        env, _, ctl = make_setup(nodes=4)
+        job = ctl.submit(malleable(4, max_procs=4))
+        env.run(until=0.1)
+        first = ctl.check_status(job, job.resize_request)
+        ctl.check_status(job, job.resize_request)
+        assert ctl.stats.decisions_reused == 1
+        fresh, reused = ctl.trace.of_kind(EventKind.RESIZE_DECISION)
+        expected = Trace()
+        expected.record(
+            env.now, EventKind.RESIZE_DECISION, job.job_id,
+            action=first.action.value, target=first.target_procs,
+            reason=first.reason.value, beneficiary=first.beneficiary_job_id,
+        )
+        assert canonical_line(reused) == canonical_line(fresh)
+        assert [canonical_line(reused)] == canonical_lines(expected)
 
     def test_reuse_is_keyed_on_epoch_size_and_request(self):
         env, _, ctl = make_setup(nodes=4)
