@@ -11,7 +11,14 @@ from repro.metrics.stream import (
     read_trace_lines,
     stream_digest,
 )
-from repro.metrics.summary import WorkloadSummary, gain_percent, summarize
+from repro.metrics.summary import (
+    WorkloadSummary,
+    backed,
+    gain_percent,
+    order_stats,
+    percentile,
+    summarize,
+)
 from repro.metrics.timeline import (
     StepSeries,
     allocated_nodes_series,
@@ -36,6 +43,7 @@ __all__ = [
     "TraceEvent",
     "WorkloadSummary",
     "allocated_nodes_series",
+    "backed",
     "canonical_line",
     "canonical_lines",
     "completed_jobs_series",
@@ -43,6 +51,8 @@ __all__ = [
     "format_evolution",
     "format_table",
     "gain_percent",
+    "order_stats",
+    "percentile",
     "read_trace_lines",
     "running_jobs_series",
     "stream_digest",

@@ -10,12 +10,19 @@ Table II reports, per workload and per rendition (fixed/flexible):
 
 Plus the headline **workload execution time** (makespan) of Fig. 10 and
 the **gain** lines of Figs. 3, 7, 10 and 11.
+
+Two statistics rules live here.  Seed ensembles of the paper metrics
+get :func:`metric_stats` (mean with a Student-t 95% interval); wall
+times get :func:`order_stats` (nearest-rank order statistics, a
+quantile reported only when :func:`backed`), because a wall-time sample
+is skewed and a symmetric interval around its mean can run below zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -160,6 +167,43 @@ def metric_stats(values: Sequence[float]) -> MetricStats:
         stdev = float(arr.std(ddof=1))
         ci = t_critical_95(n - 1) * stdev / float(np.sqrt(n))
     return MetricStats(n=n, mean=mean, median=median, stdev=stdev, ci95_half=ci)
+
+
+#: A reported quantile needs at least this many samples beyond it.
+SAMPLES_BEYOND = 10
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile: the smallest sample with ``fraction`` of
+    the samples at or below it."""
+    if not values:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+
+def backed(count: int, fraction: float) -> bool:
+    """Whether ``count`` samples leave :data:`SAMPLES_BEYOND` of them
+    above the nearest-rank ``fraction`` percentile: p90 needs 100
+    samples, p99 needs 1,000."""
+    return count - math.ceil(fraction * count) >= SAMPLES_BEYOND
+
+
+def order_stats(values: Sequence[float]) -> Dict[str, float]:
+    """The wall-time report: ``n``, ``min``, the nearest-rank ``median``
+    and ``max``, plus ``p90`` and ``p99`` only when :func:`backed`."""
+    if not values:
+        raise ValueError("no values to order")
+    ordered = sorted(values)
+    n = len(ordered)
+    stats = {"n": n, "min": ordered[0], "median": percentile(ordered, 0.5),
+             "max": ordered[-1]}
+    for name, fraction in (("p90", 0.9), ("p99", 0.99)):
+        if backed(n, fraction):
+            stats[name] = percentile(ordered, fraction)
+    return stats
 
 
 def gain_percent(fixed: float, flexible: float) -> float:

@@ -30,7 +30,6 @@ from repro.obs.registry import (
     MetricFamily,
     MetricsRegistry,
     default_registry,
-    observe_all,
     parse_prometheus,
     publish_sched_stats,
     publish_store_stats,
@@ -68,7 +67,6 @@ __all__ = [
     "TelemetryConfig",
     "default_registry",
     "export_perfetto",
-    "observe_all",
     "parse_prometheus",
     "publish_sched_stats",
     "publish_store_stats",

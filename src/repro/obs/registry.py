@@ -19,21 +19,22 @@ hit/miss counts) and *publish* them through the ``publish_*`` bridges
 below — either once per run or lazily from a collector callback at
 scrape time.
 
-:class:`LatencyHistogram` lives here (it started in ``repro.metrics``):
-the registry is its primary consumer and ``repro.obs`` must not import
-from ``repro.metrics``.
+:class:`LatencyHistogram` lives here because the registry is its only
+consumer (and ``repro.obs`` must not import from ``repro.metrics``).
+It keeps bucket counts, count and sum, the series of a Prometheus
+histogram; whoever scrapes them estimates quantiles.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import (
     Callable,
     Dict,
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -50,17 +51,16 @@ class LatencyHistogram:
     """Streaming histogram over non-negative durations in seconds.
 
     A Prometheus-style histogram with geometric bucket bounds:
-    observations are O(1) to record, the memory footprint is a few
-    dozen integers no matter how many requests are observed, and
-    quantiles (p50/p99) are estimated by linear interpolation inside
-    the bucket that crosses the requested rank, clamped to the observed
-    ``[min, max]`` range so an estimate can never leave the data.  The
-    estimation error is bounded by the bucket ratio (×2 by default) —
-    the right trade for service telemetry, where retaining every sample
-    is exactly what a server absorbing heavy traffic cannot afford.
+    observations are O(log buckets) to record and the footprint is a
+    few dozen integers however many requests are observed.  It holds
+    exactly what the exposition and :meth:`MetricsRegistry.snapshot`
+    read; quantiles are the scraper's business (Prometheus estimates
+    them from the bucket counts at query time), and in-process wall-time
+    reports keep their samples and use
+    :func:`repro.metrics.summary.order_stats` instead.
     """
 
-    __slots__ = ("bounds", "counts", "count", "total", "min", "max")
+    __slots__ = ("bounds", "counts", "count", "total")
 
     def __init__(
         self,
@@ -83,146 +83,15 @@ class LatencyHistogram:
         self.counts = [0] * (buckets + 1)
         self.count = 0
         self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
 
     def observe(self, seconds: float) -> None:
         """Record one duration (negative values clamp to zero)."""
         value = 0.0 if seconds < 0 else float(seconds)
-        index = 0
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                break
-        else:
-            index = len(self.bounds)  # overflow bucket
-        self.counts[index] += 1
+        # The first bucket whose bound is >= value; past the last bound
+        # that is the overflow bucket.
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile in seconds (0 for an empty histogram).
-
-        Interpolates linearly inside the crossing bucket and clamps the
-        estimate to the observed ``[min, max]`` — raw interpolation can
-        otherwise report values below the smallest or above the largest
-        observation (a single sample mid-bucket, a one-bucket geometry,
-        q at the extremes).  The overflow bucket reports the observed
-        maximum (no upper bound to interpolate toward).
-        """
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        # count > 0 implies min/max are set.
-        if q == 0:
-            return self.min  # type: ignore[return-value]
-        if q == 1:
-            return self.max  # type: ignore[return-value]
-        rank = q * self.count
-        seen = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if seen + count >= rank:
-                if index >= len(self.bounds):
-                    return self.max  # type: ignore[return-value]
-                hi = self.bounds[index]
-                lo = self.bounds[index - 1] if index > 0 else 0.0
-                fraction = (rank - seen) / count
-                estimate = lo + (hi - lo) * fraction
-                return min(max(estimate, self.min), self.max)  # type: ignore
-            seen += count
-        return self.max  # type: ignore[return-value]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fan another histogram's tallies into this one (same geometry).
-
-        Returns ``self`` so worker tallies can be folded in a chain.
-        Merging an empty histogram is a no-op; merging *into* an empty
-        one copies the other side's extrema.
-        """
-        if not isinstance(other, LatencyHistogram):
-            raise ValueError(
-                f"can only merge another LatencyHistogram, got "
-                f"{type(other).__name__}"
-            )
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        # Read the other side first: merging a histogram into itself
-        # must double every tally, not loop over a list it is mutating.
-        other_counts = list(other.counts)
-        other_count, other_total = other.count, other.total
-        other_min, other_max = other.min, other.max
-        for index, count in enumerate(other_counts):
-            self.counts[index] += count
-        self.count += other_count
-        self.total += other_total
-        if other_min is not None:
-            self.min = other_min if self.min is None else min(self.min, other_min)
-        if other_max is not None:
-            self.max = other_max if self.max is None else max(self.max, other_max)
-        return self
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON form: summary quantiles in ms + the raw bucket counts.
-
-        The ``*_s`` fields carry the exact internal state (seconds), so
-        :meth:`from_dict` round-trips losslessly; the ``*_ms`` fields
-        are display conveniences kept for existing consumers.
-        """
-        return {
-            "count": self.count,
-            "sum_s": self.total,
-            "min_s": self.min,
-            "max_s": self.max,
-            "mean_ms": 1000.0 * self.mean,
-            "min_ms": 0.0 if self.min is None else 1000.0 * self.min,
-            "max_ms": 0.0 if self.max is None else 1000.0 * self.max,
-            "p50_ms": 1000.0 * self.quantile(0.50),
-            "p99_ms": 1000.0 * self.quantile(0.99),
-            "bucket_bounds_s": list(self.bounds),
-            "bucket_counts": list(self.counts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`as_dict` output (lossless)."""
-        bounds = tuple(float(b) for b in data["bucket_bounds_s"])
-        if not bounds or any(
-            b <= 0 or (i and b <= bounds[i - 1]) for i, b in enumerate(bounds)
-        ):
-            raise ValueError(f"bucket bounds must be positive increasing: {bounds}")
-        counts = [int(c) for c in data["bucket_counts"]]
-        if len(counts) != len(bounds) + 1:
-            raise ValueError(
-                f"expected {len(bounds) + 1} bucket counts, got {len(counts)}"
-            )
-        count = int(data["count"])
-        if count != sum(counts) or any(c < 0 for c in counts):
-            raise ValueError("bucket counts do not sum to 'count'")
-        hist = cls.__new__(cls)
-        hist.bounds = bounds
-        hist.counts = counts
-        hist.count = count
-        hist.total = float(data["sum_s"])
-        min_s, max_s = data["min_s"], data["max_s"]
-        if count == 0:
-            min_s = max_s = None
-        hist.min = None if min_s is None else float(min_s)
-        hist.max = None if max_s is None else float(max_s)
-        return hist
-
-
-def observe_all(histogram: LatencyHistogram, values: Sequence[float]) -> None:
-    """Record a batch of durations (loadgen convenience)."""
-    for value in values:
-        histogram.observe(value)
 
 
 # -- scalar metrics -----------------------------------------------------------

@@ -44,8 +44,6 @@ class RuntimeConfig:
     #: per-released-node term (synchronized workflow of Section V-B2).
     ack_base: float = 0.05
     ack_per_node: float = 0.01
-    #: Seconds to wait for a resizer job before aborting an expansion.
-    resizer_timeout: float = 30.0
     #: Periodic checkpointing for *non-flexible* jobs (the C/R fault
     #: baseline): every N iterations the application state is written to
     #: the shared filesystem, and a requeued job restarts from its last
@@ -301,9 +299,7 @@ class NanosRuntime:
             return None  # stale asynchronous decision already satisfied
 
         reconfig_t0 = self.env.now
-        nodes = yield from expand_protocol(
-            self.controller, job, target, timeout=self.config.resizer_timeout
-        )
+        nodes = yield from expand_protocol(self.controller, job, target)
         if nodes is None:
             return None  # aborted: resources went elsewhere meanwhile
 

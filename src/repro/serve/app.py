@@ -18,9 +18,10 @@ Method    Path                        Semantics
 ========  ==========================  ==========================================
 GET       /health                     liveness + drain state + active jobs
 GET       /metrics                    Prometheus text exposition (request
-                                      counts, latency histograms, queue
-                                      depth, observer errors); the JSON
-                                      form via ``Accept: application/json``
+                                      counts, latency histograms, job
+                                      states, queue depth, peak running
+                                      jobs, observer errors), whatever
+                                      the ``Accept`` header asks for
 POST      /v1/workloads               submit a workload run (202 + job id;
                                       429 queue full, 503 draining)
 GET       /v1/jobs                    list jobs (snapshots, no results)
@@ -57,11 +58,7 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import DrainingError, QueueFullError, ServeError, SweepError
-from repro.obs.registry import (
-    LatencyHistogram,
-    MetricsRegistry,
-    default_registry,
-)
+from repro.obs.registry import MetricsRegistry, default_registry
 from repro.serve.http import (
     HttpError,
     Request,
@@ -275,9 +272,10 @@ class RequestMetrics:
 
     The tallies live as metric families on a
     :class:`~repro.obs.registry.MetricsRegistry` (by default the
-    process-wide one), so the same numbers back both the JSON
-    ``/metrics`` payload (:meth:`as_dict`) and the registry's
-    Prometheus text exposition.
+    process-wide one), which ``/metrics`` renders as Prometheus text.
+    Route labels come from the route table alone (an unmatched request
+    is labelled by its status), so hostile paths and methods cannot
+    grow the families.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -302,33 +300,6 @@ class RequestMetrics:
         self.requests.inc(route=route)
         self.responses.inc(status=str(status))
         self.latency.observe(seconds, route=route)
-
-    @property
-    def total(self) -> int:
-        return int(sum(c.value for _, c in self.requests.samples()))
-
-    def as_dict(self) -> dict:
-        by_route = {v[0]: int(c.value) for v, c in self.requests.samples()}
-        by_status = {v[0]: int(c.value) for v, c in self.responses.samples()}
-        overall = LatencyHistogram()
-        per_route = {}
-        for values, hist in self.latency.samples():
-            per_route[values[0]] = hist
-            overall.merge(hist)
-        return {
-            "total": sum(by_route.values()),
-            "by_route": dict(sorted(by_route.items())),
-            "by_status": dict(sorted(by_status.items())),
-            "latency": overall.as_dict(),
-            "latency_by_route": {
-                route: {
-                    "count": hist.count,
-                    "p50_ms": 1000.0 * hist.quantile(0.5),
-                    "p99_ms": 1000.0 * hist.quantile(0.99),
-                }
-                for route, hist in sorted(per_route.items())
-            },
-        }
 
 
 # -- the server ---------------------------------------------------------------
@@ -385,7 +356,8 @@ class ReproServer:
         self._server: Optional[asyncio.AbstractServer] = None
 
     def _collect_runtime(self, registry: MetricsRegistry) -> None:
-        """Scrape-time mirror of uptime, job states and queue depth."""
+        """Scrape-time mirror of uptime, job states, queue depth and
+        peak worker concurrency."""
         if self.started_unix is not None:
             registry.gauge(
                 "repro_serve_uptime_seconds",
@@ -403,6 +375,10 @@ class ReproServer:
             registry.gauge(
                 "repro_serve_queue_depth", "Serve jobs waiting for a worker.",
             ).set(status["queue_depth"])
+            registry.gauge(
+                "repro_serve_peak_running_jobs",
+                "Most serve jobs ever running at once.",
+            ).set(status["max_concurrent"])
             registry.counter(
                 "repro_serve_submissions_total",
                 "Serve jobs admitted since process start.",
@@ -532,7 +508,8 @@ class ReproServer:
         async def reject(request, *args):
             return raise_status, error_response(raise_status, message)
 
-        return f"{request.method} {request.path}", reject, (), False
+        # One label per status: the path and method are the client's.
+        return f"unmatched {raise_status}", reject, (), False
 
     # -- handlers (loop thread) ----------------------------------------------
     async def _health(self, request: Request):
@@ -546,15 +523,6 @@ class ReproServer:
         })
 
     async def _metrics(self, request: Request):
-        if "application/json" in request.headers.get("accept", ""):
-            payload = {
-                "uptime_s": time.time() - self.started_unix,
-                "requests": self.metrics.as_dict(),
-                "jobs": self.manager.status(),
-            }
-            if self.store is not None:
-                payload["store"] = self.store.stats()
-            return 200, json_response(200, payload)
         text = self.metrics_registry.render_prometheus()
         return 200, response_bytes(
             200,

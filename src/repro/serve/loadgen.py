@@ -6,13 +6,16 @@ the terminal ``done`` frame, then fetches the final job snapshot —
 i.e. the full lifecycle a real client pays, including the per-request
 TCP handshake (connections are one-shot by design).
 
-Client-side latencies are measured per phase (submit / stream / status)
-with the same :class:`~repro.obs.registry.LatencyHistogram` the
-server uses, then the server's own ``/metrics`` snapshot is appended so
-the report shows both sides of the wire.  The run ends with a drain
-check: ``POST /v1/admin/drain``, one refused submission (must be 503),
-a poll until ``active == 0`` (no orphaned background work), and a
-resume so the server is left serving.
+Client-side latencies are kept per phase (submit / stream / status) as
+plain sample lists and reported as nearest-rank order statistics
+(:func:`~repro.metrics.summary.order_stats`: n, min, median and max, plus
+p90/p99 only once ten samples lie beyond them).  One scrape of the
+server's Prometheus ``/metrics``, parsed by
+:func:`~repro.obs.registry.parse_prometheus`, is appended so the report
+shows both sides of the wire.  The run ends with a drain check:
+``POST /v1/admin/drain``, one refused submission (must be 503), a poll
+until ``active == 0`` (no orphaned background work), and a resume so
+the server is left serving.
 
 The report is written as JSON (``BENCH_serve.json`` by convention) and
 summarized on stdout.
@@ -26,7 +29,8 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
-from repro.obs.registry import LatencyHistogram
+from repro.metrics.summary import order_stats
+from repro.obs.registry import parse_prometheus
 
 DEFAULT_CLIENTS = 4
 DEFAULT_REQUESTS = 12
@@ -69,16 +73,16 @@ async def request(
     path: str,
     payload: Optional[dict] = None,
 ) -> Tuple[int, dict]:
-    """One request/response cycle; returns (status, parsed JSON body)."""
+    """One request/response cycle; returns (status, parsed JSON body).
+
+    A body that is not JSON comes back as ``{"raw": text}``.
+    """
     body = b""
     if payload is not None:
         body = json.dumps(payload).encode("utf-8")
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: {host}:{port}\r\n"
-        # A JSON client end to end — /metrics serves its Prometheus
-        # text form to scrapers that do not ask for JSON.
-        f"Accept: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: close\r\n\r\n"
     ).encode("ascii")
@@ -169,9 +173,10 @@ class Loadgen:
         self.requests = requests
         self.num_jobs = num_jobs
         self.seed = seed
-        self.submit_hist = LatencyHistogram()
-        self.status_hist = LatencyHistogram()
-        self.stream_hist = LatencyHistogram()
+        #: Per-phase client latencies in milliseconds, one per request.
+        self.submit_ms: List[float] = []
+        self.stream_ms: List[float] = []
+        self.status_ms: List[float] = []
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.events_total = 0
@@ -186,7 +191,7 @@ class Loadgen:
             {"workload": "fs", "num_jobs": self.num_jobs,
              "seed": self.seed + serial},
         )
-        self.submit_hist.observe(time.perf_counter() - t0)
+        self.submit_ms.append(1e3 * (time.perf_counter() - t0))
         if status != 202:
             raise LoadgenError(f"submit returned {status}: {body}")
         job_id = body["id"]
@@ -200,7 +205,7 @@ class Loadgen:
             frames = await stream_events(self.host, self.port, job_id)
         finally:
             self._active_streams -= 1
-        self.stream_hist.observe(time.perf_counter() - t0)
+        self.stream_ms.append(1e3 * (time.perf_counter() - t0))
         done = frames[-1]
         final = json.loads(done["data"])
         trace_frames = [f for f in frames if f.get("event") == "trace"]
@@ -215,7 +220,7 @@ class Loadgen:
         status, snapshot = await request(
             self.host, self.port, "GET", f"/v1/jobs/{job_id}"
         )
-        self.status_hist.observe(time.perf_counter() - t0)
+        self.status_ms.append(1e3 * (time.perf_counter() - t0))
         if status != 200:
             raise LoadgenError(f"status fetch returned {status}")
         if snapshot["state"] == "COMPLETED":
@@ -269,9 +274,10 @@ class Loadgen:
         await asyncio.gather(*(self._client() for _ in range(self.clients)))
         wall = time.perf_counter() - t0
         drain = await self._drain_check()
-        _, server_metrics = await request(
-            self.host, self.port, "GET", "/metrics"
-        )
+        status, scrape = await request(self.host, self.port, "GET", "/metrics")
+        if status != 200 or "raw" not in scrape:
+            raise LoadgenError(f"/metrics scrape returned {status}")
+        server_metrics, _ = parse_prometheus(scrape["raw"])
         return {
             "config": {
                 "host": self.host,
@@ -288,9 +294,9 @@ class Loadgen:
                 "jobs_failed": self.jobs_failed,
                 "events_streamed": self.events_total,
                 "max_concurrent_streams": self.max_concurrent_streams,
-                "submit": self.submit_hist.as_dict(),
-                "stream": self.stream_hist.as_dict(),
-                "status": self.status_hist.as_dict(),
+                "submit_ms": order_stats(self.submit_ms),
+                "stream_ms": order_stats(self.stream_ms),
+                "status_ms": order_stats(self.status_ms),
             },
             "server": server_metrics,
             "drain": drain,
@@ -334,8 +340,8 @@ def summarize(report: dict) -> str:
         f"loadgen: {report['config']['requests']} requests, "
         f"{report['config']['clients']} clients -> "
         f"{client['requests_per_s']:.2f} req/s, "
-        f"submit p50 {client['submit']['p50_ms']:.2f} ms / "
-        f"p99 {client['submit']['p99_ms']:.2f} ms, "
+        f"submit median {client['submit_ms']['median']:.2f} ms / "
+        f"max {client['submit_ms']['max']:.2f} ms, "
         f"{client['events_streamed']} events streamed, "
         f"max {client['max_concurrent_streams']} concurrent streams, "
         f"drain {'clean' if report['drain']['drained_clean'] else 'DIRTY'}"

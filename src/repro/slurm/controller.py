@@ -79,8 +79,6 @@ class SlurmConfig:
     #: (Section V-B: "If the waiting time reaches a threshold, RJ is
     #: canceled and the action is aborted").
     resizer_timeout: float = 30.0
-    #: One-way latency of a runtime<->RMS API call.
-    rpc_latency: float = 0.05
     #: Period of the backfill scheduler thread (Slurm's bf_interval).
     #: Event-driven passes are FIFO-only, exactly as in Slurm, where
     #: sched/backfill only runs periodically.

@@ -3,11 +3,14 @@
 Cells sharing every non-seed axis form one *group*; within a group each
 metric's values across seeds collapse into a
 :class:`~repro.metrics.summary.MetricStats` (mean, median, sample
-stdev, Student-t 95% CI).  Output ordering is canonical — groups in
-grid order, metrics alphabetically — and the CSV renderer formats
-floats with a fixed ``%.10g``, so aggregated output is byte-identical
-regardless of worker count or completion order (the
-``tests/sweep/test_determinism.py`` contract).
+stdev, Student-t 95% CI).  That rule is for the simulated paper
+metrics only: the cells' wall times are reported as order statistics
+(:func:`~repro.metrics.summary.order_stats`, see ``repro bench``).
+Output ordering is canonical — groups in grid order, metrics
+alphabetically — and the CSV renderer formats floats with a fixed
+``%.10g``, so aggregated output is byte-identical regardless of worker
+count or completion order (the ``tests/sweep/test_determinism.py``
+contract).
 """
 
 from __future__ import annotations

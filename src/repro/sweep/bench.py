@@ -4,7 +4,8 @@ Two verbs share this module:
 
 * ``repro bench`` — multi-seed ensemble of the paper's headline
   artifacts (Fig. 1, Fig. 3, Table II) through the sweep engine,
-  emitting ``BENCH_sweep.json``: per-artifact wall-clock statistics plus
+  emitting ``BENCH_sweep.json``: per-artifact cell wall-clock order
+  statistics (:func:`~repro.metrics.summary.order_stats`) plus
   per-metric simulated-result statistics with 95% confidence bands.
 * ``repro bench sched`` — the scheduler-scale benchmark: replays large
   synthetic Feitelson traces (and their SWF round trip) as sleep jobs
@@ -23,7 +24,7 @@ import json
 import time
 from typing import Dict, Optional, Sequence
 
-from repro.metrics.summary import metric_stats
+from repro.metrics.summary import order_stats
 from repro.sweep.runner import SweepObserver, SweepRunner
 from repro.sweep.spec import DEFAULT_BASE_SEED, Sweep
 
@@ -90,9 +91,7 @@ def run_bench(
             "cells": len(result),
             "cached_cells": result.cached_cells,
             "ensemble_wall_s": ensemble_wall,
-            "cell_wall": metric_stats(
-                [c.wall_time for c in result.cells]
-            ).as_dict(),
+            "cell_wall": order_stats([c.wall_time for c in result.cells]),
             "metrics": result.aggregate().as_dict(),
         }
     return {

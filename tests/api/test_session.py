@@ -29,19 +29,19 @@ class TestBuilder:
         session = (
             Session()
             .with_runtime(RuntimeConfig(async_mode=True))
-            .with_slurm(SlurmConfig(rpc_latency=0.2))
+            .with_slurm(SlurmConfig(backfill_interval=0.2))
         )
         assert session.runtime.async_mode is True
-        assert session.slurm.rpc_latency == 0.2
+        assert session.slurm.backfill_interval == 0.2
 
     def test_with_policy_merges_into_slurm_config(self):
         policy = PolicyConfig(expand_with_pending=True)
-        session = Session().with_slurm(SlurmConfig(rpc_latency=0.2)).with_policy(policy)
+        session = Session().with_slurm(SlurmConfig(backfill_interval=0.2)).with_policy(policy)
         assert session.slurm.policy is policy
-        assert session.slurm.rpc_latency == 0.2
+        assert session.slurm.backfill_interval == 0.2
         # The other composition order also preserves both settings.
-        flipped = Session().with_policy(policy).with_slurm(SlurmConfig(rpc_latency=0.2))
-        assert flipped.slurm.rpc_latency == 0.2
+        flipped = Session().with_policy(policy).with_slurm(SlurmConfig(backfill_interval=0.2))
+        assert flipped.slurm.backfill_interval == 0.2
 
     def test_observe_accumulates(self):
         from repro.api import SessionObserver

@@ -1,24 +1,15 @@
 """Tests for the metrics registry, exposition and publish bridges."""
 
-import json
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.registry import (
     Counter,
     Gauge,
-    LatencyHistogram,
     MetricsRegistry,
     default_registry,
     parse_prometheus,
     publish_sched_stats,
     publish_store_stats,
-)
-
-durations = st.floats(
-    min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False
 )
 
 
@@ -169,81 +160,3 @@ class TestPublishBridges:
         assert snap['repro_store_lookups_total{result="hit"}'] == 3.0
         assert 'repro_store_lookups_total{result="miss"}' not in snap
         assert snap["repro_store_puts_total"] == 3.0
-
-
-class TestHistogramProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(durations, min_size=0, max_size=200))
-    def test_as_dict_round_trip_is_lossless(self, values):
-        hist = LatencyHistogram()
-        for value in values:
-            hist.observe(value)
-        data = json.loads(json.dumps(hist.as_dict()))
-        back = LatencyHistogram.from_dict(data)
-        assert back.counts == hist.counts
-        assert back.count == hist.count
-        assert back.total == pytest.approx(hist.total)
-        assert back.min == hist.min and back.max == hist.max
-        # A round-tripped histogram keeps reporting the same quantiles.
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert back.quantile(q) == pytest.approx(hist.quantile(q))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(durations, min_size=1, max_size=200),
-           st.floats(min_value=0.0, max_value=1.0))
-    def test_quantile_never_leaves_observed_range(self, values, q):
-        hist = LatencyHistogram()
-        for value in values:
-            hist.observe(value)
-        estimate = hist.quantile(q)
-        assert hist.min <= estimate <= hist.max
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(durations, min_size=0, max_size=100),
-           st.lists(durations, min_size=0, max_size=100))
-    def test_merge_equals_union(self, xs, ys):
-        a, b, union = (LatencyHistogram() for _ in range(3))
-        for value in xs:
-            a.observe(value)
-        for value in ys:
-            b.observe(value)
-        for value in xs + ys:
-            union.observe(value)
-        assert a.merge(b) is a
-        assert a.counts == union.counts
-        assert a.count == union.count
-        assert a.total == pytest.approx(union.total)
-        assert a.min == union.min and a.max == union.max
-
-    def test_merge_with_itself_doubles(self):
-        hist = LatencyHistogram()
-        for value in (0.001, 0.1, 5.0):
-            hist.observe(value)
-        hist.merge(hist)
-        assert hist.count == 6
-        assert hist.total == pytest.approx(2 * (0.001 + 0.1 + 5.0))
-        assert hist.min == pytest.approx(0.001)
-        assert hist.max == pytest.approx(5.0)
-
-    def test_merge_into_empty_copies_extrema(self):
-        empty, full = LatencyHistogram(), LatencyHistogram()
-        full.observe(0.25)
-        empty.merge(full)
-        assert (empty.min, empty.max, empty.count) == (0.25, 0.25, 1)
-
-    def test_from_dict_rejects_corrupt_payloads(self):
-        good = LatencyHistogram()
-        good.observe(0.1)
-        data = good.as_dict()
-        broken = dict(data)
-        broken["count"] = 99
-        with pytest.raises(ValueError):
-            LatencyHistogram.from_dict(broken)
-        broken = dict(data)
-        broken["bucket_counts"] = data["bucket_counts"][:-1]
-        with pytest.raises(ValueError):
-            LatencyHistogram.from_dict(broken)
-        broken = dict(data)
-        broken["bucket_bounds_s"] = [0.0] + list(data["bucket_bounds_s"])[1:]
-        with pytest.raises(ValueError):
-            LatencyHistogram.from_dict(broken)

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.metrics.trace import text_digest
+from repro.obs.registry import parse_prometheus
 from repro.serve import ServerThread
 from repro.serve.loadgen import request, stream_events
 from repro.store import ResultStore
@@ -68,12 +69,14 @@ class TestBasics:
         assert health["status"] == "ok"
         assert health["state"] == "serving"
 
-        status, metrics = http(server.port, "GET", "/metrics")
+        status, body = http(server.port, "GET", "/metrics")
         assert status == 200
-        assert metrics["requests"]["total"] >= 1  # the /health above
-        assert "GET /health" in metrics["requests"]["by_route"]
-        assert metrics["requests"]["latency"]["count"] >= 1
-        assert metrics["jobs"]["workers"] == 2
+        samples, _ = parse_prometheus(body["raw"])
+        route = '{route="GET /health"}'
+        # the /health above
+        assert samples[f"repro_http_requests_total{route}"] >= 1
+        assert samples[f"repro_http_request_duration_seconds_count{route}"] >= 1
+        assert samples["repro_serve_peak_running_jobs"] == 0
 
     def test_unknown_endpoint_is_404(self, server):
         status, body = http(server.port, "GET", "/nope")
@@ -344,11 +347,17 @@ class TestLoadgen:
         assert report["client"]["jobs_completed"] == 4
         assert report["client"]["requests_per_s"] > 0
         assert report["client"]["events_streamed"] > 0
-        assert report["client"]["submit"]["p99_ms"] >= \
-            report["client"]["submit"]["p50_ms"]
+        for phase in ("submit_ms", "stream_ms", "status_ms"):
+            stats = report["client"][phase]
+            assert stats["n"] == 4
+            assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
+            # Four samples back no tail quantile.
+            assert "p90" not in stats and "p99" not in stats
         assert report["drain"]["refused_with_503"]
         assert report["drain"]["drained_clean"]
-        assert report["server"]["requests"]["total"] > 0
+        scraped = report["server"]
+        assert scraped['repro_http_requests_total{route="POST /v1/workloads"}'] >= 4
+        assert scraped["repro_serve_peak_running_jobs"] >= 1
         # the drain check resumes, leaving the server serving
         _, health = http(server.port, "GET", "/health")
         assert health["state"] == "serving"

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.obs.registry import parse_prometheus
+from repro.obs.registry import MetricsRegistry, parse_prometheus
 from repro.serve import ServerThread
 from repro.serve.loadgen import request
 
@@ -18,11 +18,12 @@ def http(port, method, path, payload=None):
     return asyncio.run(request(HOST, port, method, path, payload))
 
 
-def scrape(port) -> str:
-    """GET /metrics with no Accept header — the Prometheus-scraper path."""
+def scrape(port, accept=None) -> str:
+    """GET /metrics, with no Accept header unless one is given."""
+    header = f"Accept: {accept}\r\n" if accept else ""
     with socket.create_connection((HOST, port), timeout=30) as sock:
         sock.sendall(
-            f"GET /metrics HTTP/1.1\r\nHost: {HOST}:{port}\r\n"
+            f"GET /metrics HTTP/1.1\r\nHost: {HOST}:{port}\r\n{header}"
             f"Connection: close\r\n\r\n".encode("ascii")
         )
         chunks = []
@@ -87,10 +88,33 @@ class TestPrometheusExposition:
         # registry is process-wide, so only the delta proves it.
         assert samples[fifo] > before.get(fifo, 0)
 
-    def test_json_form_still_served_on_accept(self, server):
-        status, metrics = http(server.port, "GET", "/metrics")
-        assert status == 200
-        assert "requests" in metrics and "jobs" in metrics
+    def test_json_accept_gets_prometheus_text(self, server):
+        http(server.port, "GET", "/health")
+        samples, _ = parse_prometheus(scrape(server.port, "application/json"))
+        assert samples['repro_http_requests_total{route="GET /health"}'] >= 1
+
+    def test_unmatched_requests_share_one_label_per_status(self):
+        registry = MetricsRegistry()
+        thread = ServerThread(workers=1, metrics_registry=registry).start()
+
+        async def probe():
+            for i in range(100):
+                status, _ = await request(HOST, thread.port, "GET", f"/x/{i}")
+                assert status == 404
+            for i in range(10):
+                status, _ = await request(HOST, thread.port, f"M{i}", "/health")
+                assert status == 405
+
+        try:
+            asyncio.run(probe())
+            metrics = thread.server.metrics
+            assert {labels: child.value for labels, child
+                    in metrics.requests.samples()} == {
+                ("unmatched 404",): 100, ("unmatched 405",): 10}
+            assert [labels for labels, _ in metrics.latency.samples()] == [
+                ("unmatched 404",), ("unmatched 405",)]
+        finally:
+            thread.stop()
 
 
 class TestTelemetryRoute:

@@ -11,16 +11,17 @@ from repro.slurm import (
     Job,
     JobClass,
     JobState,
+    SlurmConfig,
     SlurmController,
     expand_protocol,
 )
 
 
-def setup(nodes=16):
+def setup(nodes=16, config=None):
     env = Environment()
     cluster = ClusterConfig(num_nodes=nodes)
     machine = cluster.build_machine()
-    ctl = SlurmController(env, machine)
+    ctl = SlurmController(env, machine, config)
     return env, cluster, machine, ctl
 
 
@@ -99,10 +100,10 @@ def test_runtime_survives_aborted_expansion():
     decision is stale: the resizer job cannot start, the action aborts,
     and the malleable job must carry on unharmed.
     """
-    env, cluster, machine, ctl = setup(nodes=8)
-    install_runtime_launcher(
-        ctl, cluster, RuntimeConfig(async_mode=True, resizer_timeout=2.0)
+    env, cluster, machine, ctl = setup(
+        nodes=8, config=SlurmConfig(resizer_timeout=2.0)
     )
+    install_runtime_launcher(ctl, cluster, RuntimeConfig(async_mode=True))
     flex = ctl.submit(malleable(4, steps=3, step_time=30.0, max_procs=8))
 
     def hog_arrives():
