@@ -254,6 +254,14 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(collector)
 
+    def unregister_collector(
+        self, collector: Callable[["MetricsRegistry"], None]
+    ) -> None:
+        """Stop running ``collector`` on scrapes (no-op if not registered)."""
+        with self._lock:
+            if collector in self._collectors:
+                self._collectors.remove(collector)
+
     def collect(self) -> None:
         """Run every collector (a failing collector is counted, not fatal)."""
         with self._lock:

@@ -68,10 +68,12 @@ from repro.serve.http import (
     read_request,
     response_bytes,
     sse_frame,
+    sse_frames,
 )
 from repro.serve.jobs import (
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_WORKERS,
+    SERVE_JOB_STATES,
     JobManager,
 )
 
@@ -351,7 +353,6 @@ class ReproServer:
             else default_registry()
         )
         self.metrics = RequestMetrics(self.metrics_registry)
-        self.metrics_registry.register_collector(self._collect_runtime)
         self.started_unix: Optional[float] = None
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -370,8 +371,11 @@ class ReproServer:
                 "Serve jobs by lifecycle state.",
                 labels=("state",),
             )
-            for state, count in status["by_state"].items():
-                jobs.set(count, state=state)
+            # Every state, zeros too: the family is shared with servers
+            # this process ran before, whose last counts must not linger.
+            for state in SERVE_JOB_STATES:
+                jobs.set(status["by_state"].get(state.name, 0),
+                         state=state.name)
             registry.gauge(
                 "repro_serve_queue_depth", "Serve jobs waiting for a worker.",
             ).set(status["queue_depth"])
@@ -401,9 +405,12 @@ class ReproServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_unix = time.time()
+        self.metrics_registry.register_collector(self._collect_runtime)
 
     async def stop(self) -> None:
         """Close the listener and wait for the worker pool to finish."""
+        # A stopped server's jobs are no longer this process's to report.
+        self.metrics_registry.unregister_collector(self._collect_runtime)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -582,24 +589,31 @@ class ReproServer:
             ))
             await writer.drain()
             return 400
-        writer.write(SSE_HEADER)
-        await writer.drain()
+        # Each read's lines go out as one buffer in one write: the head
+        # rides with the first, the done frame with the last.  A job
+        # reads terminal only after its last line, so that read holds
+        # every line.  The change count read with the lines makes the
+        # wait return at once if the job moved while drain() yielded.
+        out = SSE_HEADER
         cursor = 0
         while True:
-            lines, done, total = job.events_since(cursor)
-            for line in lines:
-                writer.write(sse_frame(line, event="trace", event_id=cursor))
-                cursor += 1
-            await writer.drain()
-            if done and cursor == total:
+            lines, done, changes = job.events_since(cursor)
+            if lines:
+                out += sse_frames(lines, cursor, "trace")
+                cursor += len(lines)
+            if done:
                 final = {"state": job.state.name, "events": cursor}
                 if job.error is not None:
                     final["error"] = job.error
-                writer.write(sse_frame(json.dumps(final, sort_keys=True),
-                                       event="done"))
+                writer.write(out + sse_frame(
+                    json.dumps(final, sort_keys=True), event="done"))
                 await writer.drain()
                 return 200
-            await job.wait_change()
+            if out:
+                writer.write(out)
+                out = b""
+                await writer.drain()
+            await job.wait_change(changes)
 
     async def _list_artifacts(self, request: Request):
         if self.store is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.errors import ServeError
@@ -215,3 +215,18 @@ def sse_frame(data: str, event: Optional[str] = None,
         parts.append(f"event: {event}")
     parts.append(f"data: {data}")
     return ("\n".join(parts) + "\n\n").encode("utf-8")
+
+
+def sse_frames(lines: List[str], first_id: int, event: str) -> bytes:
+    """Encode a burst of events with ids ``first_id``, ``first_id + 1``, ...
+
+    The same bytes as one :func:`sse_frame` per line, joined, built as
+    one buffer so a burst costs one write.
+    """
+    for data in lines:
+        if "\n" in data or "\r" in data:
+            raise ServeError("SSE data must be a single line")
+    return "".join(
+        f"id: {event_id}\nevent: {event}\ndata: {data}\n\n"
+        for event_id, data in enumerate(lines, first_id)
+    ).encode("utf-8")

@@ -27,6 +27,14 @@ live by an :class:`EventBridge` observer from the worker thread.  SSE
 subscribers replay the buffer from any cursor and wait on an
 :class:`asyncio.Event` for more — so a late subscriber to a finished
 job replays the identical stream a live subscriber saw.
+
+Every state change (a line, running, progress, finished) bumps the
+job's change counter and queues at most one loop wake-up: while one is
+queued, further changes only bump the counter, so a burst of trace
+lines costs the worker one ``call_soon_threadsafe`` and the loop one
+wake-up.  A subscriber reads the counter together with the lines and
+waits only while it has not moved, so a wake-up that ran while the
+subscriber was elsewhere is never lost.
 """
 
 from __future__ import annotations
@@ -39,12 +47,16 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DrainingError, QueueFullError, ServeError
 from repro.api.observers import SessionObserver
-from repro.metrics.trace import canonical_line
+from repro.metrics.trace import canonical_line, text_digest
 from repro.slurm.job import JobState, TERMINAL_STATES
 
 #: Defaults for the service's capacity knobs.
 DEFAULT_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 64
+
+#: Every state a :class:`ServeJob` takes, in lifecycle order.
+SERVE_JOB_STATES = (JobState.PENDING, JobState.RUNNING,
+                    JobState.COMPLETED, JobState.FAILED)
 
 
 class ServeJob:
@@ -58,6 +70,11 @@ class ServeJob:
         self._loop = loop
         self._lock = threading.Lock()
         self._waiters: Set[asyncio.Event] = set()
+        #: Bumped under the lock by every state change; a subscriber
+        #: waits only while it still reads the value it last saw.
+        self._changes = 0
+        #: True while a loop wake-up is queued and has not yet run.
+        self._wake_queued = False
         self.state = JobState.PENDING
         self.submitted_unix = time.time()
         self.started_unix: Optional[float] = None
@@ -78,35 +95,48 @@ class ServeJob:
     def append_event(self, line: str) -> None:
         with self._lock:
             self._events.append(line)
-        self._notify()
+            self._changed()
 
     def events_since(self, cursor: int) -> Tuple[List[str], bool, int]:
-        """(new lines, job-is-terminal, total) snapshot from ``cursor``."""
+        """(new lines, job-is-terminal, change count) snapshot from ``cursor``.
+
+        Pass the change count to :meth:`wait_change`.
+        """
         with self._lock:
-            lines = self._events[cursor:]
-            return lines, self.state in TERMINAL_STATES, len(self._events)
+            return (self._events[cursor:], self.state in TERMINAL_STATES,
+                    self._changes)
 
-    def event_count(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    # -- waiting (loop thread) ----------------------------------------------
-    def _notify(self) -> None:
-        def wake() -> None:
-            for waiter in list(self._waiters):
-                waiter.set()
-
+    # -- the one wake-up path (worker thread queues, loop thread runs) -------
+    def _changed(self) -> None:
+        """Count a state change and queue the loop wake-up unless one is
+        queued already; the caller holds the lock."""
+        self._changes += 1
+        if self._wake_queued:
+            return
+        self._wake_queued = True
         try:
-            self._loop.call_soon_threadsafe(wake)
+            self._loop.call_soon_threadsafe(self._wake)
         except RuntimeError:
             pass  # loop already closed (server shutting down)
 
-    async def wait_change(self, timeout: float = 0.5) -> None:
-        """Wait until new events/state may be available (or timeout).
+    def _wake(self) -> None:
+        # Clear the flag first: a change made from here on queues a new
+        # wake-up rather than relying on this one.
+        with self._lock:
+            self._wake_queued = False
+        for waiter in list(self._waiters):
+            waiter.set()
 
-        The timeout makes the wait robust against any lost-wakeup race:
-        the subscriber re-reads the buffer after every return anyway.
+    async def wait_change(self, seen: int, timeout: float = 0.5) -> None:
+        """Wait until the change count moves past ``seen`` (or timeout).
+
+        ``seen`` is the count :meth:`events_since` returned with the
+        lines already handled; if it has moved since, this returns at
+        once.  The timeout is only a safety net.
         """
+        with self._lock:
+            if self._changes != seen:
+                return
         waiter = asyncio.Event()
         self._waiters.add(waiter)
         try:
@@ -121,12 +151,12 @@ class ServeJob:
         with self._lock:
             self.state = JobState.RUNNING
             self.started_unix = time.time()
-        self._notify()
+            self._changed()
 
     def set_progress(self, done: int, total: int) -> None:
         with self._lock:
             self.progress = {"done": done, "total": total}
-        self._notify()
+            self._changed()
 
     def finish(self, result: Optional[dict] = None,
                error: Optional[str] = None) -> None:
@@ -136,7 +166,7 @@ class ServeJob:
             self.result = result
             self.error = error
             self.finished_unix = time.time()
-        self._notify()
+            self._changed()
 
     def set_telemetry(self, correlation_id: Optional[str],
                       spans: List[dict], dropped: int) -> None:
@@ -362,7 +392,6 @@ class JobManager:
     def _run_workload(self, job: ServeJob) -> None:
         from repro.api.session import Session
         from repro.cluster.configs import ClusterConfig
-        from repro.metrics.trace import trace_digest
         from repro.obs.registry import default_registry, publish_sched_stats
 
         self._enter_run(job)
@@ -393,6 +422,15 @@ class JobManager:
                     telemetry.as_dicts(),
                     telemetry.dropped,
                 )
+            # The digest is taken over the lines the stream served, each
+            # rendered once; equal to trace_digest(result.trace) when the
+            # bridge saw every record, which the count checks.
+            lines = job.events_since(0)[0]
+            if len(lines) != len(result.trace):
+                raise ServeError(
+                    f"event buffer holds {len(lines)} lines for a "
+                    f"{len(result.trace)}-record trace"
+                )
             summary = result.summary
             job.finish(result={
                 "workload": params["workload"],
@@ -400,7 +438,7 @@ class JobManager:
                 "backend": result.backend,
                 "summary": summary.as_dict(),
                 "trace_events": len(result.trace),
-                "trace_digest": trace_digest(result.trace),
+                "trace_digest": text_digest("\n".join(lines)),
             })
         except BaseException as exc:  # surface everything as FAILED
             job.finish(error=f"{type(exc).__name__}: {exc}")

@@ -16,6 +16,7 @@ from repro.serve.http import (
     read_request,
     response_bytes,
     sse_frame,
+    sse_frames,
 )
 
 
@@ -149,3 +150,16 @@ class TestSse:
             sse_frame("two\nlines")
         with pytest.raises(ServeError):
             sse_frame("cr\rline")
+
+    def test_burst_is_the_frames_joined(self):
+        lines = ["a", "b b", "c=1"]
+        assert sse_frames(lines, 5, "trace") == b"".join(
+            sse_frame(line, event="trace", event_id=5 + i)
+            for i, line in enumerate(lines))
+        assert sse_frames([], 0, "trace") == b""
+
+    def test_burst_with_a_multiline_data_rejected(self):
+        with pytest.raises(ServeError):
+            sse_frames(["ok", "two\nlines"], 0, "trace")
+        with pytest.raises(ServeError):
+            sse_frames(["cr\rline"], 0, "trace")

@@ -107,14 +107,41 @@ class TestPrometheusExposition:
 
         try:
             asyncio.run(probe())
-            metrics = thread.server.metrics
-            assert {labels: child.value for labels, child
-                    in metrics.requests.samples()} == {
-                ("unmatched 404",): 100, ("unmatched 405",): 10}
-            assert [labels for labels, _ in metrics.latency.samples()] == [
-                ("unmatched 404",), ("unmatched 405",)]
         finally:
+            # A handler counts its request after writing the response,
+            # so the client can see the last response first; stopping
+            # the server waits for every handler.
             thread.stop()
+        metrics = thread.server.metrics
+        assert {labels: child.value for labels, child
+                in metrics.requests.samples()} == {
+            ("unmatched 404",): 100, ("unmatched 405",): 10}
+        assert [labels for labels, _ in metrics.latency.samples()] == [
+            ("unmatched 404",), ("unmatched 405",)]
+
+    def test_a_stopped_server_leaves_no_collector(self):
+        completed = 'repro_serve_jobs{state="COMPLETED"}'
+        registry = MetricsRegistry()
+        first = ServerThread(workers=1, metrics_registry=registry).start()
+        try:
+            status, body = http(first.port, "POST", "/v1/workloads",
+                                {"workload": "fs", "num_jobs": 2, "seed": 5})
+            assert status == 202
+            wait_terminal(first.port, body["id"])
+            assert parse_prometheus(scrape(first.port))[0][completed] == 1
+        finally:
+            first.stop()
+        assert registry._collectors == []
+
+        second = ServerThread(workers=1, metrics_registry=registry).start()
+        try:
+            samples, _ = parse_prometheus(scrape(second.port))
+            assert len(registry._collectors) == 1
+        finally:
+            second.stop()
+        # The first server's COMPLETED job is not the second's to report.
+        assert samples[completed] == 0
+        assert samples["repro_serve_submissions_total"] == 0
 
 
 class TestTelemetryRoute:

@@ -3,7 +3,7 @@
 import json
 
 from repro.store import ResultStore
-from repro.sweep import run_bench, write_bench
+from repro.sweep import run_bench, runner, write_bench
 
 
 def _quick_bench(store=None):
@@ -36,8 +36,29 @@ class TestRunBench:
     def test_store_feeds_second_bench(self, tmp_path):
         store = ResultStore(tmp_path)
         _quick_bench(store=store)
+        # The untimed warm-up cell stays out of the store.
+        assert (store.stats()["puts"], len(store.entries())) == (2, 2)
         data = _quick_bench(store=store)
         assert data["artifacts"]["fig1"]["cached_cells"] == 2
+
+    def test_first_timed_cell_is_not_the_first_computed(self, monkeypatch):
+        # The spy stamps the first cell this process computes as cold;
+        # the bench must have run that one untimed.
+        cold_s = 60.0
+        computed = []
+        execute = runner.execute_cell
+
+        def spy(spec, *args, **kwargs):
+            payload = execute(spec, *args, **kwargs)
+            computed.append(spec)
+            if len(computed) == 1:
+                payload = dict(payload, wall_time=cold_s)
+            return payload
+
+        monkeypatch.setattr(runner, "execute_cell", spy)
+        data = run_bench(quick=True, artifacts=("fig1",))
+        assert computed[0].seed not in data["seeds"]
+        assert data["artifacts"]["fig1"]["cell_wall"]["max"] < cold_s
 
     def test_full_defaults_to_five_seeds(self):
         data = run_bench(artifacts=("fig1",))
