@@ -23,6 +23,7 @@ def main() -> None:
         for target in (12, 24, 48):
             c = cr.reconfigure(state, 48, target)
             d = dmr.reconfigure(state, 48, target)
+            assert d.total < c.total, f"C/R beats DMR at 48 -> {target}"
             rows.append(
                 [
                     f"48 -> {target}",

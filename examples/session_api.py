@@ -64,6 +64,10 @@ def main() -> None:
     print("\nfirst resizes, seen live:")
     for line in log.lines[:5]:
         print(" ", line)
+    recorded = result.trace.of_kind(
+        EventKind.RESIZE_EXPAND, EventKind.RESIZE_SHRINK
+    )
+    assert recorded and len(log.lines) == len(recorded), "observer missed resizes"
     alloc = result.allocation_series()
     print("\nallocated nodes over time (derived from the trace):")
     print(" ", sparkline(alloc, 0.0, alloc.times[-1]))

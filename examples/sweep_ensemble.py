@@ -39,6 +39,7 @@ def main() -> None:
         gain = metrics["makespan_gain_pct"]
         print(f"{group}: flexible gains {gain['mean']:.1f}% "
               f"± {gain['ci95_half']:.1f} (n={gain['n']})")
+        assert gain["n"] == 5 and gain["mean"] > 0, f"{group}: no gain"
 
 
 if __name__ == "__main__":

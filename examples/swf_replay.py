@@ -32,6 +32,14 @@ def main() -> None:
     # 2. Re-import: every SWF job becomes a malleable iterative app.
     replay = parse_swf(swf_text, steps=10)
     print(f"\nre-imported {len(replay)} jobs from the SWF text")
+    # The log keeps each job's size and its arrival time (to 0.01 s).
+    assert [s.submit_nodes for s in replay.jobs] == [
+        s.submit_nodes for s in original.jobs
+    ]
+    assert all(
+        abs(r.arrival_time - o.arrival_time) <= 0.005
+        for r, o in zip(replay.jobs, original.jobs)
+    )
 
     # 3. Run the replay rigid and malleable (the CLI equivalent:
     #    python -m repro run --workload log.swf --rigid/--flexible).

@@ -30,6 +30,9 @@ def main(num_jobs: int = 50) -> None:
     )
     pair = session.run_paired(spec)
     fixed, flex = pair.fixed.summary, pair.flexible.summary
+    # Malleability drains the workload sooner; only the flexible run resizes.
+    assert flex.makespan < fixed.makespan, "the flexible rendition lost"
+    assert fixed.resize_count == 0 < flex.resize_count
 
     print(
         format_table(

@@ -10,9 +10,10 @@ Experiment modules register their figure/table producers with the
 
 The CLI (and anything else) then iterates the registry generically:
 ``render(name, seed=...)`` produces the text form, ``render_csv`` the
-CSV form where supported.  Producer results are cached per
-``(name, seed)`` so rendering both forms — or several artifacts sharing
-one producer — never re-runs a simulation.
+CSV form where supported.  Each artifact keeps the result of the last
+seed it was produced for, so rendering both forms of one seed never
+re-runs a simulation, and rendering many seeds holds one result, not
+one per seed.
 """
 
 from __future__ import annotations
@@ -60,9 +61,12 @@ class ArtifactRegistry:
 
     Two caches cooperate here:
 
-    * the **in-memory** per-``(name, seed)`` result-object cache, which
-      lets one producer serve both the text and CSV forms within a
-      process.  It is *process-local by design*: sweep pool workers are
+    * the **in-memory** result-object cache, which lets one producer
+      run serve both the text and CSV forms within a process.  It keeps
+      one result per artifact, the last seed's: a long-lived process
+      (``repro serve`` renders any seed a client asks for) would
+      otherwise keep every seed's simulation alive.  It is
+      *process-local by design*: sweep pool workers are
       fresh processes and therefore always start with an empty cache, so
       a worker can never observe another cell's results.  Tests that
       need a clean slate call :meth:`clear_cache` instead of poking
@@ -76,7 +80,7 @@ class ArtifactRegistry:
 
     def __init__(self) -> None:
         self._specs: Dict[str, ArtifactSpec] = {}
-        self._results: Dict[Tuple[str, Optional[int]], object] = {}
+        self._results: Dict[str, Tuple[Optional[int], object]] = {}
         self._store = None
 
     # -- registration -------------------------------------------------------
@@ -171,11 +175,17 @@ class ArtifactRegistry:
 
     # -- production ---------------------------------------------------------
     def result_for(self, name: str, seed: Optional[int] = None) -> object:
-        """Produce (or fetch from the in-memory cache) the result object."""
-        key = (name, seed)
-        if key not in self._results:
-            self._results[key] = self.get(name).producer(seed=seed)
-        return self._results[key]
+        """Produce the result object, or reuse the artifact's last one if
+        it was produced for the same seed."""
+        cached = self._results.get(name)
+        if cached is not None and cached[0] == seed:
+            return cached[1]
+        # Free the previous seed's result before producing this one.
+        del cached
+        self._results.pop(name, None)
+        result = self.get(name).producer(seed=seed)
+        self._results[name] = (seed, result)
+        return result
 
     def render(self, name: str, seed: Optional[int] = None) -> str:
         """The artifact's text form (table or evolution chart)."""

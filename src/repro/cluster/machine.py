@@ -113,10 +113,6 @@ class Machine:
         """Indices of the nodes currently owned by ``job_id`` (sorted)."""
         return tuple(self._by_job.get(job_id, ()))
 
-    def hostnames_of(self, job_id: int) -> Tuple[str, ...]:
-        """Slurm-style node list of a job (what `scontrol` would print)."""
-        return tuple(self.nodes[i].hostname for i in self.nodes_of(job_id))
-
     def owner_of(self, node_index: int) -> Optional[int]:
         return self.nodes[node_index].job_id
 

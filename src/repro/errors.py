@@ -35,10 +35,6 @@ class CommunicatorError(MPIError):
     """Operation on an invalid, freed, or foreign communicator."""
 
 
-class TruncationError(MPIError):
-    """A receive buffer was too small for the matched message."""
-
-
 class RuntimeAPIError(ReproError):
     """Misuse of the Nanos++-style runtime or the DMR API."""
 

@@ -88,9 +88,6 @@ class Intercommunicator:
         """The group a process sends *to* through this intercommunicator."""
         return self.remote if self.side_of(proc_id) == "local" else self.local
 
-    def own_group(self, proc_id: int) -> Communicator:
-        return self.local if self.side_of(proc_id) == "local" else self.remote
-
     def free(self) -> None:
         self.freed = True
 

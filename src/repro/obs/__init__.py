@@ -17,9 +17,8 @@ Entry points around the repo: ``Session.with_telemetry(...)``, the
 on ``repro serve``.
 """
 
-# Import order matters: registry/spans are dependency-free; perfetto
-# reaches back into repro.metrics.trace (lazily) and must come last so
-# the histogram compatibility shim can import registry mid-cycle.
+# Import order: registry and spans are dependency-free; perfetto
+# reaches back into repro.metrics.trace (lazily), so it comes last.
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     DEFAULT_FIRST_BOUND,

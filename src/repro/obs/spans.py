@@ -10,9 +10,9 @@ cell or session that produced it.  Two clocks coexist deliberately:
   done) — recorded by engine-side code that already knows both ends of
   the interval, so there is no context-manager bookkeeping on the hot
   path;
-* ``wall`` spans carry Unix-epoch timestamps (a serve request, a sweep
-  worker run) and are usually recorded with the :meth:`Telemetry.wall_
-  span` context manager.
+* ``wall`` spans carry Unix-epoch timestamps (a sweep cell, a job on a
+  wall-clock backend) and are recorded once the interval has ended,
+  with ``Telemetry.record(name, start, end, CLOCK_WALL)``.
 
 The Perfetto exporter keeps the two clocks on separate process tracks,
 so both timelines stay internally coherent.
@@ -38,10 +38,8 @@ the parent's trace lineage.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 CLOCK_SIM = "sim"
 CLOCK_WALL = "wall"
@@ -230,16 +228,6 @@ class Telemetry:
         """Record a point event (rendered as a Perfetto instant)."""
         self.record(name, at, None, clock, track, **attrs)
 
-    @contextmanager
-    def wall_span(self, name: str, track: str = "wall",
-                  **attrs: object) -> Iterator[None]:
-        """Time a wall-clock block (serve requests, sweep workers)."""
-        start = time.time()
-        try:
-            yield
-        finally:
-            self.record(name, start, time.time(), CLOCK_WALL, track, **attrs)
-
     # -- (de)serialization ---------------------------------------------------
     def as_dicts(self) -> List[Dict[str, object]]:
         """JSON-ready span list, each tagged with the correlation id."""
@@ -251,19 +239,6 @@ class Telemetry:
                 data["cid"] = cid
             out.append(data)
         return out
-
-    def extend_from_dicts(
-        self, payload: Iterable[Mapping[str, object]]
-    ) -> None:
-        """Fold spans shipped back from a worker into this recorder."""
-        for data in payload:
-            if len(self._spans) >= self.config.max_spans:
-                self.dropped += 1
-                continue
-            span = Span.from_dict(data)
-            if "cid" in data:
-                span.attrs.setdefault("cid", data["cid"])
-            self._spans.append(span)
 
     def counts_by_name(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -82,12 +82,6 @@ def _check_args(old_procs: int, new_procs: int, total_bytes: float) -> None:
         raise RedistributionError(f"negative data size {total_bytes}")
 
 
-def block_sizes(total: float, parts: int) -> Tuple[float, ...]:
-    """Even block split of ``total`` bytes over ``parts`` ranks."""
-    base = total / parts
-    return tuple(base for _ in range(parts))
-
-
 def plan_expand(old_procs: int, new_procs: int, total_bytes: float) -> RedistributionPlan:
     """Listing 3 "expand" branch: split each block across ``factor`` ranks."""
     _check_args(old_procs, new_procs, total_bytes)

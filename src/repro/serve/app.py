@@ -423,14 +423,18 @@ class ReproServer:
 
     # -- connection handling -------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        """Serve one request.  A request is counted once, just before its
+        response is written (a stream: when it ends), so a client that
+        has read a response finds its request in the next scrape; a
+        connection that sends no request is not counted at all."""
         start = time.perf_counter()
-        route_label = "unparsed"
-        status = 500
         try:
             try:
                 request = await read_request(reader)
             except HttpError as exc:
-                status = exc.status
+                self.metrics.observe(
+                    "unparsed", exc.status, time.perf_counter() - start
+                )
                 writer.write(error_response(exc.status, str(exc)))
                 await writer.drain()
                 return
@@ -438,7 +442,13 @@ class ReproServer:
                 return
             route_label, handler, path_args, streaming = self._resolve(request)
             if streaming:
-                status = await handler(request, writer, *path_args)
+                status = 500
+                try:
+                    status = await handler(request, writer, *path_args)
+                finally:
+                    self.metrics.observe(
+                        route_label, status, time.perf_counter() - start
+                    )
                 return
             try:
                 status, response = await handler(request, *path_args)
@@ -455,14 +465,12 @@ class ReproServer:
                 status, response = 500, error_response(
                     500, f"{type(exc).__name__}: {exc}"
                 )
+            self.metrics.observe(route_label, status, time.perf_counter() - start)
             writer.write(response)
             await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away or server is stopping
         finally:
-            self.metrics.observe(
-                route_label, status, time.perf_counter() - start
-            )
             writer.close()
             try:
                 await writer.wait_closed()

@@ -11,8 +11,7 @@ Public surface::
     env.timeout(5.0)          # waitable delay
     env.run(until=...)        # drive the clock
 
-plus :class:`RandomStreams` for named reproducible randomness and
-:class:`Store`/:class:`Resource` for inter-process coordination.  The
+plus :class:`RandomStreams` for named reproducible randomness.  The
 pending events live in one ``(time, priority, serial, event)`` heap owned
 by :class:`Environment` (see :mod:`repro.sim.engine`).
 """
@@ -20,7 +19,6 @@ by :class:`Environment` (see :mod:`repro.sim.engine`).
 from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -34,7 +32,5 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
-    "Store",
     "Timeout",
 ]

@@ -6,8 +6,6 @@ node-resize protocol (Section III) and the reconfiguration policy plug-in
 (Section IV, Algorithm 1).
 """
 
-from repro.slurm.accounting import Accounting, JobRecord
-from repro.slurm.api import SlurmAPI
 from repro.slurm.backfill import (
     BF_MAX_JOB_TEST,
     Reservation,
@@ -29,10 +27,8 @@ from repro.slurm.reconfig import PolicyConfig, PolicyView, ReconfigurationPolicy
 from repro.slurm.resize import expand_protocol, shrink_protocol
 
 __all__ = [
-    "Accounting",
     "BF_MAX_JOB_TEST",
     "Job",
-    "JobRecord",
     "JobClass",
     "JobState",
     "MultifactorConfig",
@@ -43,7 +39,6 @@ __all__ = [
     "ReconfigurationPolicy",
     "Reservation",
     "SchedStats",
-    "SlurmAPI",
     "SlurmConfig",
     "SlurmController",
     "TERMINAL_STATES",

@@ -1,5 +1,8 @@
 """Tests for the declarative artifact registry."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api.registry import (
@@ -103,6 +106,25 @@ class TestResultCache:
         assert calls == [1]
         reg.render("cached", seed=2)
         assert calls == [1, 2]
+
+    def test_only_the_last_seed_result_stays_alive(self):
+        """A process that renders many seeds holds one result, not one
+        per seed."""
+        reg = ArtifactRegistry()
+        produced = []
+
+        @reg.artifact("seeded", csv=True)
+        def produce(seed=None):
+            result = FakeResult(seed)
+            produced.append(weakref.ref(result))
+            return result
+
+        for seed in range(8):
+            reg.render("seeded", seed=seed)
+            reg.render_csv("seeded", seed=seed)
+        gc.collect()
+        assert len(produced) == 8  # a seed's text and CSV share one run
+        assert [ref() is not None for ref in produced] == [False] * 7 + [True]
 
     def test_clear_cache(self):
         reg = ArtifactRegistry()

@@ -138,12 +138,6 @@ def test_observer_sees_every_change():
     assert seen == [3, 4, 3, 2]
 
 
-def test_hostnames_follow_indices():
-    m = Machine(3)
-    m.allocate(1, 2)
-    assert m.hostnames_of(1) == ("mn0000", "mn0001")
-
-
 def test_jobs_listing():
     m = Machine(6)
     m.allocate(1, 1)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.spans import (
     CLOCK_SIM,
-    CLOCK_WALL,
     DEFAULT_MAX_SPANS,
     PassSpan,
     Span,
@@ -86,22 +85,6 @@ class TestTelemetry:
         assert len(telemetry.spans) == 2
         assert telemetry.dropped == 3
 
-    def test_wall_span_uses_wall_clock(self):
-        telemetry = Telemetry()
-        with telemetry.wall_span("serve.request", route="GET /health"):
-            pass
-        (span,) = telemetry.spans
-        assert span.clock == CLOCK_WALL
-        assert span.end >= span.start
-        assert span.attrs["route"] == "GET /health"
-
-    def test_wall_span_records_on_exception(self):
-        telemetry = Telemetry()
-        with pytest.raises(RuntimeError):
-            with telemetry.wall_span("boom"):
-                raise RuntimeError("x")
-        assert telemetry.counts_by_name() == {"boom": 1}
-
     def test_as_dicts_tags_correlation_id(self):
         telemetry = Telemetry(TelemetryConfig(correlation_id="job-1"))
         telemetry.record("a", 0.0, 1.0)
@@ -109,23 +92,6 @@ class TestTelemetry:
         anonymous = Telemetry()
         anonymous.record("a", 0.0, 1.0)
         assert "cid" not in anonymous.as_dicts()[0]
-
-    def test_extend_from_dicts_round_trip(self):
-        worker = Telemetry(TelemetryConfig(correlation_id="pool/0"))
-        worker.record("sweep.cell", 0.0, 2.0, CLOCK_WALL, track="sweep")
-        parent = Telemetry(TelemetryConfig(correlation_id="pool"))
-        parent.extend_from_dicts(worker.as_dicts())
-        (span,) = parent.spans
-        assert span.name == "sweep.cell"
-        assert span.attrs["cid"] == "pool/0"
-
-    def test_extend_from_dicts_respects_bound(self):
-        parent = Telemetry(TelemetryConfig(max_spans=1))
-        parent.extend_from_dicts(
-            [{"name": "a", "start": 0.0, "end": 1.0} for _ in range(3)]
-        )
-        assert len(parent.spans) == 1
-        assert parent.dropped == 2
 
 
 class TestPassSpan:

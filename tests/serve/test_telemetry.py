@@ -39,6 +39,13 @@ def scrape(port, accept=None) -> str:
     return body
 
 
+def http_samples(samples, family):
+    """One family's samples from a parsed scrape, keyed by their labels."""
+    prefix = family + "{"
+    return {name[len(prefix):-1]: value for name, value in samples.items()
+            if name.startswith(prefix)}
+
+
 def wait_terminal(port, job_id):
     deadline = time.monotonic() + DEADLINE
     while time.monotonic() < deadline:
@@ -107,17 +114,32 @@ class TestPrometheusExposition:
 
         try:
             asyncio.run(probe())
+            # A request is counted before its response is written, so a
+            # scrape after the last response already sees every request.
+            samples, _ = parse_prometheus(scrape(thread.port))
         finally:
-            # A handler counts its request after writing the response,
-            # so the client can see the last response first; stopping
-            # the server waits for every handler.
             thread.stop()
-        metrics = thread.server.metrics
-        assert {labels: child.value for labels, child
-                in metrics.requests.samples()} == {
-            ("unmatched 404",): 100, ("unmatched 405",): 10}
-        assert [labels for labels, _ in metrics.latency.samples()] == [
-            ("unmatched 404",), ("unmatched 405",)]
+        assert http_samples(samples, "repro_http_requests_total") == {
+            'route="unmatched 404"': 100, 'route="unmatched 405"': 10}
+        assert http_samples(
+            samples, "repro_http_request_duration_seconds_count"
+        ) == {'route="unmatched 404"': 100, 'route="unmatched 405"': 10}
+
+    def test_a_connection_that_sends_nothing_is_not_counted(self):
+        thread = ServerThread(
+            workers=1, metrics_registry=MetricsRegistry()
+        ).start()
+        try:
+            for _ in range(3):  # a TCP health check: connect, then close
+                socket.create_connection((HOST, thread.port), timeout=30).close()
+            assert http(thread.port, "GET", "/health")[0] == 200
+            samples, _ = parse_prometheus(scrape(thread.port))
+        finally:
+            thread.stop()
+        assert http_samples(samples, "repro_http_requests_total") == {
+            'route="GET /health"': 1}
+        assert http_samples(samples, "repro_http_responses_total") == {
+            'status="200"': 1}
 
     def test_a_stopped_server_leaves_no_collector(self):
         completed = 'repro_serve_jobs{state="COMPLETED"}'

@@ -1,20 +1,25 @@
-"""Tests for the Slurm external API facade (Section III step by step)."""
+"""Section III step by step, through the controller calls the runtime makes.
+
+:func:`repro.slurm.resize.expand_protocol` builds an expansion from four
+stock Slurm operations (``sbatch`` a dependent resizer, ``scontrol
+update`` it to 0 nodes, ``scancel`` it, ``scontrol update`` the parent),
+and a shrink is one ``scontrol update``.  These tests make the same
+:class:`SlurmController` calls one at a time and check each step's effect.
+"""
 
 import pytest
 
-from repro.apps import flexible_sleep
 from repro.cluster import Machine
 from repro.core import ResizeRequest
 from repro.errors import SchedulerError
 from repro.sim import Environment
-from repro.slurm import Job, JobClass, JobState, SlurmAPI, SlurmController
+from repro.slurm import Job, JobClass, JobState, SlurmController, make_resizer
 
 
-def make_api(nodes=16):
+def make_controller(nodes=16):
     env = Environment()
     machine = Machine(nodes)
-    ctl = SlurmController(env, machine)
-    return env, machine, ctl, SlurmAPI(ctl)
+    return env, machine, SlurmController(env, machine)
 
 
 def malleable(nodes):
@@ -28,150 +33,120 @@ def malleable(nodes):
 
 
 def test_expand_protocol_step_by_step():
-    """Drive the Section III expansion steps manually through the API."""
-    env, machine, ctl, api = make_api()
-    job_a = api.submit(malleable(4))
+    """Drive the Section III expansion steps one controller call at a time."""
+    env, machine, ctl = make_controller()
+    job_a = ctl.submit(malleable(4))
     env.run(until=0.1)
     assert job_a.is_running and job_a.num_nodes == 4
 
     # Step 1: submit job B with a dependency on A, requesting N_B nodes.
-    job_b = api.submit_dependent(job_a, extra_nodes=4)
+    job_b = ctl.submit(make_resizer(job_a, 4))
     env.run(until=0.2)
     assert job_b.is_running
     assert job_b.dependency == job_a.job_id
+    assert job_b.priority_boost == float("inf")
     assert machine.used_count == 8
 
     # Step 2: update B to 0 nodes -> detached allocated set.
-    detached = api.update_job_to_zero_nodes(job_b)
+    detached = ctl.detach_all_nodes(job_b)
     assert len(detached) == 4
     assert all(machine.owner_of(i) is None for i in detached)
 
     # Step 3: cancel B.
-    api.cancel(job_b)
+    ctl.cancel_job(job_b)
     assert job_b.state is JobState.CANCELLED
 
-    # Step 4: update A to N_A + N_B.
-    nodes = api.update_job_nodes(job_a, 8, attach=detached)
+    # Step 4: update A to N_A + N_B, attaching the detached set.
+    ctl.grow_job(job_a, detached)
     assert job_a.num_nodes == 8
-    assert len(nodes) == 8
+    assert set(detached) <= set(machine.nodes_of(job_a.job_id))
     assert machine.used_count == 8
 
 
 def test_shrink_is_single_update():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(8))
+    env, machine, ctl = make_controller()
+    job = ctl.submit(malleable(8))
     env.run(until=0.1)
-    nodes = api.update_job_nodes(job, 2)
+    released = ctl.shrink_job(job, 2)
     assert job.num_nodes == 2
-    assert len(nodes) == 2
+    assert len(released) == 6
+    assert len(machine.nodes_of(job.job_id)) == 2
     assert machine.free_count == 14
 
 
-def test_update_same_size_is_noop():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(4))
-    env.run(until=0.1)
-    assert api.update_job_nodes(job, 4) == machine.nodes_of(job.job_id)
-
-
-def test_grow_requires_matching_node_set():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(4))
-    env.run(until=0.1)
-    with pytest.raises(SchedulerError):
-        api.update_job_nodes(job, 8)  # no attach set
-    with pytest.raises(SchedulerError):
-        api.update_job_nodes(job, 8, attach=(9,))  # wrong count
-
-
 def test_update_time_limit():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(4))
-    api.update_time_limit(job, 123.0)
+    env, machine, ctl = make_controller()
+    job = ctl.submit(malleable(4))
+    ctl.update_time_limit(job, 123.0)
     assert job.time_limit == 123.0
     with pytest.raises(SchedulerError):
-        api.update_time_limit(job, 0.0)
+        ctl.update_time_limit(job, 0.0)
 
 
 def test_squeue_and_running_views():
-    env, machine, ctl, api = make_api(nodes=4)
-    a = api.submit(malleable(4))
-    b = api.submit(malleable(4))
+    env, machine, ctl = make_controller(nodes=4)
+    a = ctl.submit(malleable(4))
+    b = ctl.submit(malleable(4))
     env.run(until=0.1)
-    assert a in api.running()
-    assert b in api.squeue()
-
-
-def test_job_nodelist_hostnames():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(2))
-    env.run(until=0.1)
-    assert api.job_nodelist(job) == ("mn0000", "mn0001")
+    assert a in ctl.running_jobs()
+    assert b in ctl.pending_jobs()
 
 
 def test_check_status_passthrough():
-    env, machine, ctl, api = make_api()
-    job = api.submit(malleable(4))
+    env, machine, ctl = make_controller()
+    job = ctl.submit(malleable(4))
     env.run(until=0.1)
-    decision = api.check_status(job, job.resize_request)
+    decision = ctl.check_status(job, job.resize_request)
     assert decision.target_procs == 16  # idle machine -> expand to max
-
-
-def test_dependent_without_max_priority():
-    env, machine, ctl, api = make_api()
-    parent = api.submit(malleable(4))
-    env.run(until=0.1)
-    rj = api.submit_dependent(parent, 2, max_priority=False)
-    assert rj.priority_boost == 0.0
 
 
 class TestErrorPaths:
     """check_status / update_time_limit failure modes (not just happy paths)."""
 
     def test_check_status_unknown_job(self):
-        env, machine, ctl, api = make_api()
+        env, machine, ctl = make_controller()
         stranger = malleable(4)
         stranger.job_id = 999  # never submitted here
         with pytest.raises(SchedulerError, match="not running"):
-            api.check_status(stranger, stranger.resize_request)
+            ctl.check_status(stranger, stranger.resize_request)
 
     def test_check_status_pending_job_rejected(self):
-        env, machine, ctl, api = make_api(nodes=4)
-        running = api.submit(malleable(4))
-        queued = api.submit(malleable(4))
+        env, machine, ctl = make_controller(nodes=4)
+        ctl.submit(malleable(4))
+        queued = ctl.submit(malleable(4))
         env.run(until=0.1)
         assert queued.is_pending
         with pytest.raises(SchedulerError, match="not running"):
-            api.check_status(queued, queued.resize_request)
+            ctl.check_status(queued, queued.resize_request)
 
     def test_check_status_finished_job_rejected(self):
-        env, machine, ctl, api = make_api()
-        job = api.submit(malleable(4))
+        env, machine, ctl = make_controller()
+        job = ctl.submit(malleable(4))
         env.run(until=0.1)
         ctl.finish_job(job, JobState.COMPLETED)
         with pytest.raises(SchedulerError, match="not running"):
-            api.check_status(job, job.resize_request)
+            ctl.check_status(job, job.resize_request)
 
     def test_update_time_limit_nonpositive(self):
-        env, machine, ctl, api = make_api()
-        job = api.submit(malleable(4))
+        env, machine, ctl = make_controller()
+        job = ctl.submit(malleable(4))
         for bad in (0.0, -5.0):
             with pytest.raises(SchedulerError, match="positive"):
-                api.update_time_limit(job, bad)
+                ctl.update_time_limit(job, bad)
 
     def test_update_time_limit_terminal_job_rejected(self):
-        env, machine, ctl, api = make_api()
-        job = api.submit(malleable(4))
+        env, machine, ctl = make_controller()
+        job = ctl.submit(malleable(4))
         env.run(until=0.1)
         ctl.finish_job(job, JobState.COMPLETED)
         before = job.time_limit
         with pytest.raises(SchedulerError, match="completed"):
-            api.update_time_limit(job, 777.0)
+            ctl.update_time_limit(job, 777.0)
         assert job.time_limit == before
 
     def test_update_time_limit_cancelled_job_rejected(self):
-        env, machine, ctl, api = make_api()
-        job = api.submit(malleable(4))
-        api.cancel(job)
+        env, machine, ctl = make_controller()
+        job = ctl.submit(malleable(4))
+        ctl.cancel_job(job)
         with pytest.raises(SchedulerError, match="cancelled"):
-            api.update_time_limit(job, 777.0)
+            ctl.update_time_limit(job, 777.0)

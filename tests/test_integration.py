@@ -13,7 +13,7 @@ from repro.api import Session
 from repro.cluster import ClusterConfig, marenostrum_preliminary
 from repro.metrics import EventKind, allocated_nodes_series
 from repro.runtime import RuntimeConfig
-from repro.slurm import Accounting, JobState
+from repro.slurm import JobState
 from repro.workload import FSWorkloadConfig, fs_workload, realapp_workload
 
 
@@ -85,15 +85,26 @@ def test_determinism_same_seed_same_trace():
     assert [e.time for e in a.trace] == [e.time for e in b.trace]
 
 
+def node_seconds(job):
+    """Integrate a finished job's allocated nodes over its run, resizes included."""
+    total = 0.0
+    t, size = job.start_time, job.submitted_nodes
+    for when, old, new in job.resizes:
+        total += old * (when - t)
+        t, size = when, new
+    return total + size * (job.end_time - t)
+
+
 def test_accounting_consistent_with_summary():
     session = Session(cluster=marenostrum_preliminary())
     result = session.run(fs_workload(20, seed=3), flexible=True)
-    acct = Accounting(result.jobs)
-    assert len(acct) == 20
-    assert acct.mean_wait() == pytest.approx(result.summary.avg_wait_time)
-    assert acct.total_resizes() == result.summary.resize_count
+    jobs = [j for j in result.jobs if not j.is_resizer]
+    assert len(jobs) == 20
+    mean_wait = sum(j.wait_time for j in jobs) / len(jobs)
+    assert mean_wait == pytest.approx(result.summary.avg_wait_time)
+    assert sum(len(j.resizes) for j in jobs) == result.summary.resize_count
     # Node-seconds from per-job integration match the machine-side series.
-    assert acct.total_node_seconds() == pytest.approx(
+    assert sum(node_seconds(j) for j in jobs) == pytest.approx(
         result.summary.total_node_seconds, rel=1e-6
     )
 
