@@ -19,7 +19,7 @@ from repro.runtime import RuntimeConfig
 from repro.workload import realapp_workload
 
 
-def main(num_jobs: int = 50) -> None:
+def main(num_jobs: int = 50) -> int:
     spec = realapp_workload(num_jobs, seed=2017)
     print(f"workload: {spec.name} ({num_jobs} jobs, CG/Jacobi/N-body mix)")
 
@@ -30,6 +30,10 @@ def main(num_jobs: int = 50) -> None:
     )
     pair = session.run_paired(spec)
     fixed, flex = pair.fixed.summary, pair.flexible.summary
+    if fixed.avg_wait_time == 0:
+        print(f"nothing queues at {num_jobs} jobs, so malleability has "
+              "nothing to win; run more jobs")
+        return 2
     # Malleability drains the workload sooner; only the flexible run resizes.
     assert flex.makespan < fixed.makespan, "the flexible rendition lost"
     assert fixed.resize_count == 0 < flex.resize_count
@@ -71,7 +75,8 @@ def main(num_jobs: int = 50) -> None:
                 result.makespan,
             )
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 50)
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 50))

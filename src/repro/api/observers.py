@@ -96,27 +96,27 @@ class ObserverDispatch:
         #: Per-observer-class tally of suppressed callback exceptions.
         self.observer_errors: Dict[str, int] = {}
         for obs in observers:
-            self._safely(obs, obs.on_attach, controller)
+            try:
+                obs.on_attach(controller)
+            except Exception:
+                if obs.strict:
+                    raise
+                self._suppressed(obs, "on_attach")
 
-    def _safely(self, obs: SessionObserver, hook, *args) -> None:
-        if obs.strict:
-            hook(*args)
-            return
-        try:
-            hook(*args)
-        except Exception:
-            name = type(obs).__name__
-            self.observer_errors[name] = self.observer_errors.get(name, 0) + 1
-            # Mirror the tally into the process-wide registry so the
-            # serve ``/metrics`` exposition (and any other scrape) sees
-            # suppressed observer failures without holding a reference
-            # to this dispatch.  Rare path — never the event hot path.
-            observer_error_counter().inc(observer=name)
-            logger.exception(
-                "observer %s raised in %s; suppressed (observer is non-strict)",
-                name,
-                getattr(hook, "__name__", hook),
-            )
+    def _suppressed(self, obs: SessionObserver, hook: str) -> None:
+        """Count, log and register the exception being handled, raised
+        by a non-strict observer's ``hook``."""
+        name = type(obs).__name__
+        self.observer_errors[name] = self.observer_errors.get(name, 0) + 1
+        # Mirror the tally into the process-wide registry so the serve
+        # ``/metrics`` exposition (and any other scrape) sees suppressed
+        # observer failures without holding a reference to this dispatch.
+        observer_error_counter().inc(observer=name)
+        logger.exception(
+            "observer %s raised in %s; suppressed (observer is non-strict)",
+            name,
+            hook,
+        )
 
     @property
     def suppressed_errors(self) -> int:
@@ -124,5 +124,11 @@ class ObserverDispatch:
         return sum(self.observer_errors.values())
 
     def __call__(self, event: TraceEvent) -> None:
+        # Runs once per trace record: each call stays inline.
         for obs in self._observers:
-            self._safely(obs, obs.on_event, event)
+            try:
+                obs.on_event(event)
+            except Exception:
+                if obs.strict:
+                    raise
+                self._suppressed(obs, "on_event")

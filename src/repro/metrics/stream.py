@@ -2,7 +2,8 @@
 
 :class:`StreamingTraceWriter` consumes trace events the moment they are
 recorded and appends their canonical rendering
-(:func:`repro.metrics.trace.canonical_line`) to a file on disk, keeping
+(:func:`repro.metrics.trace.canonical_line`, through the writer's own
+:class:`~repro.metrics.trace.LineRenderer`) to a file on disk, keeping
 a running SHA-256 of the stream.  Combined with ``Trace(retain=False)``
 this makes trace memory flat: a million-job replay spills gigabytes of
 events to disk while the process holds none of them.
@@ -27,7 +28,7 @@ import os
 from typing import IO, List, Optional, Tuple
 
 from repro.errors import TraceStreamError
-from repro.metrics.trace import Trace, TraceEvent, canonical_line
+from repro.metrics.trace import LineRenderer, Trace, TraceEvent
 
 #: Footer marker; ``#`` can never start a canonical event line (those
 #: begin with a float repr) so the footer is unambiguous.
@@ -56,10 +57,11 @@ class StreamingTraceWriter:
         self._fh: Optional[IO[str]] = open(self.path, "w", encoding="utf-8")
         self._sha = hashlib.sha256()
         self._count = 0
+        self._line = LineRenderer().line
 
     # -- sink interfaces ---------------------------------------------------
     def __call__(self, event: TraceEvent) -> None:
-        self.write_line(canonical_line(event))
+        self.write_line(self._line(event.row))
 
     def on_attach(self, controller) -> None:
         """SessionObserver hook; the writer needs no controller."""

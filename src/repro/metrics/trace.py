@@ -89,16 +89,28 @@ RESIZE_DECISION = shape(
 DMR_CHECK = shape(EventKind.DMR_CHECK, "blocking", "applied")
 
 
+def _escape(text: str) -> str:
+    """``text`` as literal ``str.format`` template text."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
 class _Layout:
     """What readers need to know about one shape, computed once."""
 
-    __slots__ = ("position", "order")
+    __slots__ = ("position", "line")
 
     def __init__(self, shape: Tuple[str, ...]) -> None:
         #: Row index of each key's value.
         self.position = {key: i for i, key in enumerate(shape[1:], _VALUES)}
-        #: ``(key, row index)`` in the canonical (sorted) key order.
-        self.order = tuple(sorted(self.position.items()))
+        fields = " ".join(
+            f"{_escape(key)}={{{index - 1}}}"
+            for key, index in sorted(self.position.items())
+        )
+        #: The canonical line before its rstrip: time text, kind, job
+        #: text, then ``key=value`` in sorted key order.  Called as
+        #: ``line(time_text, job_text, *row[_VALUES:])``, so the value at
+        #: row index i is argument i - 1.
+        self.line = f"{{0}} {_escape(shape[0])} {{1}} {fields}".format
 
 
 _LAYOUTS: Dict[Tuple[str, ...], _Layout] = {}
@@ -107,7 +119,7 @@ _LAYOUTS: Dict[Tuple[str, ...], _Layout] = {}
 def _layout(shape: Tuple[str, ...]) -> _Layout:
     layout = _LAYOUTS.get(shape)
     if layout is None:
-        layout = _LAYOUTS[shape] = _Layout(shape)
+        layout = _LAYOUTS.setdefault(shape, _Layout(shape))
     return layout
 
 
@@ -309,6 +321,50 @@ class Trace:
         return self._last_time
 
 
+#: Value types whose ``format(value, "")`` equals :func:`_canonical_value`;
+#: exact types only, since a subclass (``np.float64``, an ``IntEnum``)
+#: may format differently from its ``repr`` or ``str``.
+_DIRECT = frozenset((float, int, bool, str, type(None)))
+_UNSET = object()
+
+
+class LineRenderer:
+    """Renders rows as canonical lines (see :func:`canonical_line`).
+
+    Each row goes through its shape's line template.  Consecutive rows
+    often carry the very same time object (a decision and its DMR check
+    share ``env.now``), so the renderer keeps the last time it rendered
+    and reuses that text when ``row[0] is`` that time.  That state is
+    the only reason to hold one: each consumer (a stream, a spill, one
+    :func:`canonical_lines` call) owns its own and calls its bound
+    :meth:`line`.
+    """
+
+    __slots__ = ("_time", "_time_text")
+
+    def __init__(self) -> None:
+        self._time: Any = _UNSET
+        self._time_text = ""
+
+    def line(self, row: tuple) -> str:
+        """The canonical line of ``row``."""
+        time = row[0]
+        if time is not self._time:
+            self._time = time
+            self._time_text = repr(time)
+        layout = _LAYOUTS.get(row[1]) or _layout(row[1])
+        values = row[_VALUES:]
+        if not _DIRECT.issuperset(map(type, values)):
+            values = [
+                value if type(value) in _DIRECT else _canonical_value(value)
+                for value in values
+            ]
+        job = row[2]
+        return layout.line(
+            self._time_text, "-" if job is None else str(job), *values
+        ).rstrip()
+
+
 def canonical_line(event: TraceEvent) -> str:
     """Render one trace event as a canonical, diffable text line.
 
@@ -318,20 +374,12 @@ def canonical_line(event: TraceEvent) -> str:
     The golden-trace suite (tests/slurm/test_golden_traces.py) pins the
     scheduler's behaviour on these lines.
     """
-    return _render(event.row)
-
-
-def _render(row: tuple) -> str:
-    shape = row[1]
-    data = " ".join(
-        f"{key}={_canonical_value(row[index])}"
-        for key, index in _layout(shape).order
-    )
-    job = "-" if row[2] is None else str(row[2])
-    return f"{row[0]!r} {shape[0]} {job} {data}".rstrip()
+    return LineRenderer().line(event.row)
 
 
 def _canonical_value(value: Any) -> str:
+    """The reference rendering of one value (floats by ``repr``,
+    sequences as ``[a,b]``, anything else by ``str``)."""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
@@ -341,7 +389,7 @@ def _canonical_value(value: Any) -> str:
 
 def canonical_lines(trace: Trace) -> List[str]:
     """All trace events as canonical lines, in recording order."""
-    return [_render(row) for row in trace.rows()]
+    return list(map(LineRenderer().line, trace.rows()))
 
 
 def trace_digest(trace: Trace) -> str:
@@ -351,9 +399,10 @@ def trace_digest(trace: Trace) -> str:
     are hashed one at a time, so no list of lines or joined text is built.
     """
     sha = hashlib.sha256()
+    render = LineRenderer().line
     separator = ""
     for row in trace.rows():
-        sha.update((separator + _render(row)).encode("utf-8"))
+        sha.update((separator + render(row)).encode("utf-8"))
         separator = "\n"
     return sha.hexdigest()
 

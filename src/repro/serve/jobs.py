@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DrainingError, QueueFullError, ServeError
 from repro.api.observers import SessionObserver
-from repro.metrics.trace import canonical_line, text_digest
+from repro.metrics.trace import LineRenderer, text_digest
 from repro.slurm.job import JobState, TERMINAL_STATES
 
 #: Defaults for the service's capacity knobs.
@@ -84,7 +84,9 @@ class ServeJob:
         self.progress: Dict[str, int] = {}
         self._events: List[str] = []
         #: Installed by the manager at submit time: the parsed workload
-        #: (workload jobs) or the expanded grid (sweep jobs).
+        #: (workload jobs) or the expanded grid (sweep jobs).  Only the
+        #: worker reads them; it drops both when the job ends, so a
+        #: finished job does not keep its input alive.
         self.workload_spec = None
         self.sweep = None
         #: JSON-able span payload set by the worker when the run
@@ -227,20 +229,22 @@ class EventBridge(SessionObserver):
     Non-strict by construction (the :class:`SessionObserver` default):
     if buffering ever failed, the dispatch would log and count it
     rather than abort a simulation other subscribers are watching.
-    Keeps the controller it was attached to, whose scheduler tallies
-    the run publishes; that is None when the events come from a
-    backend's accounting records.
+    Renders each event's row with the job's own
+    :class:`~repro.metrics.trace.LineRenderer`.  Keeps the controller it
+    was attached to, whose scheduler tallies the run publishes; that is
+    None when the events come from a backend's accounting records.
     """
 
     def __init__(self, job: ServeJob) -> None:
         self._job = job
+        self._line = LineRenderer().line
         self.controller = None
 
     def on_attach(self, controller) -> None:
         self.controller = controller
 
     def on_event(self, event) -> None:
-        self._job.append_event(canonical_line(event))
+        self._job.append_event(self._line(event.row))
 
 
 class SweepProgressBridge:
@@ -443,6 +447,7 @@ class JobManager:
         except BaseException as exc:  # surface everything as FAILED
             job.finish(error=f"{type(exc).__name__}: {exc}")
         finally:
+            job.workload_spec = None
             self._exit_run()
 
     def _run_sweep(self, job: ServeJob) -> None:
@@ -475,4 +480,5 @@ class JobManager:
         except BaseException as exc:
             job.finish(error=f"{type(exc).__name__}: {exc}")
         finally:
+            job.sweep = None
             self._exit_run()

@@ -36,6 +36,8 @@ DEFAULT_CLIENTS = 4
 DEFAULT_REQUESTS = 12
 DEFAULT_NUM_JOBS = 6
 STREAM_DONE = "done"
+#: Largest read of an event stream's body.
+STREAM_READ = 65536
 
 
 class LoadgenError(ServeError):
@@ -111,7 +113,6 @@ async def stream_events(host: str, port: int, job_id: str) -> List[dict]:
     arrival order (the ``done`` frame included, last).
     """
     reader, writer = await asyncio.open_connection(host, port)
-    frames: List[dict] = []
     try:
         writer.write(
             f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
@@ -126,29 +127,50 @@ async def stream_events(host: str, port: int, job_id: str) -> List[dict]:
             line = (await reader.readline()).rstrip(b"\r\n")
             if not line:
                 break  # end of response headers
-        frame: dict = {}
-        while True:
-            raw = await reader.readline()
-            if not raw:
-                raise LoadgenError(
-                    f"stream for {job_id} ended without a done frame"
-                )
-            line = raw.rstrip(b"\r\n").decode("utf-8")
-            if line:
-                name, _, value = line.partition(":")
-                frame[name.strip()] = value.strip()
-                continue
-            if frame:
-                frames.append(frame)
-                if frame.get("event") == STREAM_DONE:
-                    return frames
-                frame = {}
+        return await _read_frames(reader, job_id)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, asyncio.CancelledError):
             pass
+
+
+async def _read_frames(reader, job_id: str) -> List[dict]:
+    """Parse an SSE body to the ``done`` frame, one read at a time.
+
+    Each read is parsed as a burst: its complete lines are decoded at
+    once, CRLF line ends become LF, and every frame the blank lines
+    close is parsed (``name: value`` fields) without awaiting per line.
+    The bytes after the last newline, and the lines of a frame not yet
+    closed, wait for the next read.
+    """
+    frames: List[dict] = []
+    partial = b""  # bytes after the last newline
+    open_frame = ""  # complete lines of a frame not yet closed
+    while True:
+        chunk = await reader.read(STREAM_READ)
+        if not chunk:
+            raise LoadgenError(f"stream for {job_id} ended without a done frame")
+        partial += chunk
+        cut = partial.rfind(b"\n") + 1
+        if not cut:
+            continue
+        lines, partial = partial[:cut], partial[cut:]
+        # A line's trailing CRs all go, as rstrip(b"\r\n") on it would.
+        while b"\r\n" in lines:
+            lines = lines.replace(b"\r\n", b"\n")
+        *closed, open_frame = (open_frame + lines.decode("utf-8")).split("\n\n")
+        for block in closed:
+            frame: dict = {}
+            for line in block.split("\n"):
+                if line:
+                    name, _, value = line.partition(":")
+                    frame[name.strip()] = value.strip()
+            if frame:
+                frames.append(frame)
+                if frame.get("event") == STREAM_DONE:
+                    return frames
 
 
 # -- the benchmark ------------------------------------------------------------

@@ -61,7 +61,9 @@ class RandomStreams:
         if len(means) != len(probabilities):
             raise ValueError("means and probabilities must have the same length")
         total = float(sum(probabilities))
-        if not np.isclose(total, 1.0):
+        # np.isclose(total, 1.0) with its default tolerances, in plain
+        # Python: the same totals pass (NaN and infinities fail).
+        if not abs(total - 1.0) <= 1e-8 + 1e-5:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         gen = self.stream(name)
         branch = int(gen.choice(len(means), p=np.asarray(probabilities) / total))

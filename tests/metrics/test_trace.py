@@ -1,5 +1,8 @@
 """Tests for the trace event log."""
 
+import enum
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,10 +82,21 @@ def test_iteration():
 #: Names ``record`` binds itself, so they cannot be data keys.
 _RESERVED = {"self", "time", "kind", "job_id"}
 
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str):
+    """A str subclass whose ``str`` and ``format`` differ."""
+
+    def __str__(self):
+        return f"<{str.__str__(self)}>"
+
+
+# Any text: braces, quotes, spaces and ``=`` included.
 _keys = st.lists(
-    st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True).filter(
-        lambda key: key not in _RESERVED
-    ),
+    st.text(max_size=6).filter(lambda key: key not in _RESERVED),
     unique=True,
     max_size=5,
 )
@@ -94,9 +108,15 @@ _atoms = st.one_of(
     st.none(),
     st.tuples(st.integers(), st.integers()),
     st.lists(st.integers(min_value=0), max_size=4).map(tuple),
+    # Subclasses of the direct types render through _canonical_value.
+    st.floats().map(np.float64),
+    st.just(Level.LOW),
+    st.text(max_size=4).map(Tag),
 )
 _records = st.tuples(
     st.floats(min_value=0, allow_nan=False),
+    # True: reuse the previous record's time object.
+    st.booleans(),
     st.sampled_from(EventKind),
     st.one_of(st.none(), st.integers(min_value=1)),
     _keys.flatmap(
@@ -114,7 +134,11 @@ def _reference_line(time, kind, job_id, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_records, max_size=6))
-def test_rows_render_digest_and_match_across_forms(records):
+def test_rows_render_digest_and_match_across_forms(drawn):
+    records, time = [], None
+    for fresh, shared, kind, job_id, data in drawn:
+        time = time if shared and time is not None else fresh
+        records.append((time, kind, job_id, data))
     by_keyword, by_shape = Trace(), Trace()
     for time, kind, job_id, data in records:
         by_keyword.record(time, kind, job_id, **data)

@@ -6,16 +6,21 @@ exercise, minus the subprocess.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
 import time
+import weakref
+from types import SimpleNamespace
 
 import pytest
 
 from repro.metrics.trace import text_digest
 from repro.obs.registry import parse_prometheus
 from repro.serve import ServerThread
+from repro.serve.app import validate_sweep, validate_workload
+from repro.serve.jobs import JobManager
 from repro.serve.loadgen import request, stream_events
 from repro.store import ResultStore
 
@@ -305,6 +310,27 @@ class TestBackpressure:
 
         _, health = http(server.port, "GET", "/health")
         assert health["active"] == 0  # quiescent: nothing orphaned
+
+
+class TestFinishedJobs:
+    @pytest.mark.parametrize("kind", ["workload", "sweep"])
+    def test_a_finished_job_frees_its_input(self, kind):
+        manager = JobManager(SimpleNamespace(call_soon_threadsafe=lambda *a: None),
+                             workers=1)
+        if kind == "workload":
+            params, spec = validate_workload(
+                {"workload": "fs", "num_jobs": 2, "seed": 3})
+            job = manager.submit_workload(params, spec)
+        else:
+            params, spec = validate_sweep(
+                {"workloads": ["fs"], "num_jobs": [2], "seeds": 1}, None)
+            job = manager.submit_sweep(params, spec)
+        submitted = weakref.ref(spec)
+        del spec
+        manager.shutdown(wait=True)  # the worker has returned
+        assert job.state.name == "COMPLETED", job.error
+        gc.collect()
+        assert submitted() is None
 
 
 class TestSweeps:

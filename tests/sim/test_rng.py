@@ -48,6 +48,29 @@ def test_hyperexponential_validation():
         rs.hyperexponential("h", [1.0, 2.0], [0.7, 0.7])
 
 
+#: The totals either side of np.isclose's edge at 1.0 (atol 1e-8, rtol 1e-5).
+_EDGES = [
+    edge
+    for bound in (1.0 - 1e-8 - 1e-5, 1.0 + 1e-8 + 1e-5)
+    for edge in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 2.0))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(),
+    st.floats(min_value=1.0 - 3e-5, max_value=1.0 + 3e-5),
+    st.sampled_from(_EDGES).map(float),
+))
+def test_hyperexponential_total_check_is_np_isclose(total):
+    rs = RandomStreams(0)
+    if np.isclose(total, 1.0):
+        assert rs.hyperexponential("h", [2.0], [total]) >= 0.0
+    else:
+        with pytest.raises(ValueError, match="must sum to 1"):
+            rs.hyperexponential("h", [2.0], [total])
+
+
 def test_hyperexponential_mean_mixture():
     rs = RandomStreams(11)
     samples = [rs.hyperexponential("h", [1.0, 100.0], [0.9, 0.1]) for _ in range(8000)]
