@@ -10,7 +10,6 @@ Each application exists in two forms:
 """
 
 from repro.apps.base import (
-    AmdahlScalability,
     AppModel,
     LinearScalability,
     MeasuredScalability,
@@ -22,7 +21,6 @@ from repro.apps.nbody import nbody
 from repro.apps.sleep import flexible_sleep
 
 __all__ = [
-    "AmdahlScalability",
     "AppModel",
     "LinearScalability",
     "MeasuredScalability",

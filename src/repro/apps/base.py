@@ -42,22 +42,6 @@ class LinearScalability(ScalabilityModel):
         return float(nprocs)
 
 
-class AmdahlScalability(ScalabilityModel):
-    """Amdahl's law with a serial fraction."""
-
-    def __init__(self, serial_fraction: float) -> None:
-        if not 0.0 <= serial_fraction <= 1.0:
-            raise ReproError(
-                f"serial fraction must be in [0, 1], got {serial_fraction}"
-            )
-        self.serial_fraction = serial_fraction
-
-    def speedup(self, nprocs: int) -> float:
-        self._validate(nprocs)
-        f = self.serial_fraction
-        return 1.0 / (f + (1.0 - f) / nprocs)
-
-
 class MeasuredScalability(ScalabilityModel):
     """Speedup interpolated from measured (nprocs, speedup) points.
 
@@ -165,9 +149,6 @@ class AppModel:
         if self.finished:
             raise ReproError(f"{self.name}: advance() past completion")
         self._completed = min(self.iterations, self._completed + steps)
-
-    def reset(self) -> None:
-        self._completed = 0
 
     def fresh_copy(self) -> "AppModel":
         """An unstarted copy (job instances must not share progress)."""

@@ -2,14 +2,12 @@
 
 from repro.checkpoint.cr import (
     CheckpointRestart,
-    CRConfig,
     DMRReconfiguration,
     ReconfigurationCost,
     spawning_factor,
 )
 
 __all__ = [
-    "CRConfig",
     "CheckpointRestart",
     "DMRReconfiguration",
     "ReconfigurationCost",

@@ -6,13 +6,16 @@ filesystem, terminate, resubmit at the new size, reload the state.  The
 "spawning" phase of C/R is 30-80x more expensive than DMR's runtime data
 redistribution because of the disk round-trip and the full job relaunch.
 
-Both cost models below share the cluster's performance models, so the
+Both cost models below share the cluster's performance models and the
+runtime's reconfiguration costs (:mod:`repro.runtime.costs`), so the
 comparison isolates exactly the mechanism difference:
 
 * :class:`CheckpointRestart` — write(all ranks) + cancel/requeue +
-  job relaunch + read(new ranks);
+  job relaunch + read(new ranks), the relaunch and read being what a
+  requeued job pays in the runtime;
 * :class:`DMRReconfiguration` — resize protocol RPC + ``MPI_Comm_spawn``
-  + network redistribution (Listing 3 plans).
+  + network redistribution (Listing 3 plans) + shrink ACKs, the last
+  three being what the runtime charges at a resize.
 """
 
 from __future__ import annotations
@@ -22,27 +25,14 @@ from typing import Dict
 
 from repro.cluster.configs import ClusterConfig
 from repro.errors import CheckpointError
+from repro.runtime.costs import redistribution_time, relaunch_time, shrink_ack_time
 from repro.runtime.redistribution import plan_for_resize
 
-
-@dataclass(frozen=True)
-class CRConfig:
-    """Checkpoint/restart mechanism parameters."""
-
-    #: Cancel + resubmit + scheduler dispatch of the restarted job.  Slurm
-    #: requeue and re-dispatch is tens of seconds even on an idle system.
-    requeue_latency: float = 25.0
-    #: Full-job relaunch cost per process (srun/prolog/daemon setup is far
-    #: heavier than an in-job MPI_Comm_spawn).
-    relaunch_per_process: float = 0.5
-    #: Fixed relaunch overhead.
-    relaunch_base: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.requeue_latency < 0 or self.relaunch_base < 0:
-            raise CheckpointError("latencies must be >= 0")
-        if self.relaunch_per_process < 0:
-            raise CheckpointError("relaunch_per_process must be >= 0")
+#: Cancel + resubmit + scheduler dispatch of the restarted job.  Slurm
+#: requeue and re-dispatch is tens of seconds even on an idle system.
+REQUEUE_LATENCY = 25.0
+#: The resize RPC round trip between the runtime and the RMS.
+RMS_NEGOTIATION = 0.1
 
 
 @dataclass(frozen=True)
@@ -72,18 +62,17 @@ def _check(state_bytes: float, old: int, new: int) -> None:
 class CheckpointRestart:
     """Cost model of checkpoint-reconfigure-restart."""
 
-    def __init__(self, cluster: ClusterConfig, config: CRConfig | None = None) -> None:
+    def __init__(self, cluster: ClusterConfig) -> None:
         self.cluster = cluster
-        self.config = config or CRConfig()
 
     def reconfigure(self, state_bytes: float, old: int, new: int) -> ReconfigurationCost:
         """Cost of resizing ``old`` -> ``new`` processes via C/R."""
         _check(state_bytes, old, new)
-        cfg, fs = self.config, self.cluster.storage
+        fs = self.cluster.storage
         phases = {
             "checkpoint_write": fs.write_time(state_bytes, nclients=old),
-            "requeue": cfg.requeue_latency,
-            "relaunch": cfg.relaunch_base + cfg.relaunch_per_process * new,
+            "requeue": REQUEUE_LATENCY,
+            "relaunch": relaunch_time(new),
             "checkpoint_read": fs.read_time(state_bytes, nclients=new),
         }
         return ReconfigurationCost("checkpoint-restart", old, new, phases)
@@ -92,41 +81,27 @@ class CheckpointRestart:
 class DMRReconfiguration:
     """Cost model of the DMR API's runtime reconfiguration.
 
-    Mirrors exactly what :class:`repro.runtime.nanos.NanosRuntime` charges
-    during a resize, packaged for side-by-side comparison.
+    The spawn, redistribution and ACK phases are what a
+    :class:`~repro.runtime.nanos.NanosRuntime` resize charges on an
+    undegraded network; the RMS negotiation is Fig. 1's own.
     """
 
-    def __init__(
-        self,
-        cluster: ClusterConfig,
-        rpc_latency: float = 0.1,
-        ack_base: float = 0.05,
-        ack_per_node: float = 0.01,
-    ) -> None:
-        if rpc_latency < 0:
-            raise CheckpointError("rpc_latency must be >= 0")
-        if ack_base < 0 or ack_per_node < 0:
-            raise CheckpointError("ACK costs must be >= 0")
+    def __init__(self, cluster: ClusterConfig) -> None:
         self.cluster = cluster
-        self.rpc_latency = rpc_latency
-        self.ack_base = ack_base
-        self.ack_per_node = ack_per_node
 
     def reconfigure(self, state_bytes: float, old: int, new: int) -> ReconfigurationCost:
         """Cost of resizing ``old`` -> ``new`` processes via the DMR API."""
         _check(state_bytes, old, new)
         plan = plan_for_resize(old, new, state_bytes)
         phases = {
-            "rms_negotiation": self.rpc_latency,
+            "rms_negotiation": RMS_NEGOTIATION,
             "spawn": self.cluster.spawn.spawn_time(new),
-            "redistribution": self.cluster.network.redistribution_time(
-                plan.bytes_out, plan.bytes_in, messages=max(1, plan.message_count)
-            ),
+            "redistribution": redistribution_time(self.cluster.network, plan),
         }
         if new < old:
             # Synchronized shrink: releasing nodes ACK to the management
             # node before Slurm reclaims them (Section V-B2).
-            phases["shrink_acks"] = self.ack_base + self.ack_per_node * (old - new)
+            phases["shrink_acks"] = shrink_ack_time(old - new)
         return ReconfigurationCost("dmr", old, new, phases)
 
 

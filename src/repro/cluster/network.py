@@ -34,14 +34,6 @@ class NetworkModel:
         if self.latency < 0 or self.bandwidth <= 0 or self.bisection_bandwidth <= 0:
             raise ValueError("latency must be >= 0 and bandwidths positive")
 
-    def transfer_time(self, nbytes: float, nmessages: int = 1) -> float:
-        """Time for one rank to move ``nbytes`` split into ``nmessages``."""
-        if nbytes < 0:
-            raise ValueError(f"negative byte count {nbytes}")
-        if nmessages < 1:
-            raise ValueError(f"need at least one message, got {nmessages}")
-        return self.latency * nmessages + nbytes / self.bandwidth
-
     def redistribution_time(
         self,
         bytes_out: Mapping[int, float],
@@ -66,17 +58,6 @@ class NetworkModel:
         nic_time = slowest / self.bandwidth
         fabric_time = total / self.bisection_bandwidth
         return self.latency * messages + max(nic_time, fabric_time)
-
-    def broadcast_time(self, nbytes: float, nprocs: int) -> float:
-        """Binomial-tree broadcast estimate (used by spawn bootstrap)."""
-        if nprocs < 1:
-            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        if nprocs == 1:
-            return 0.0
-        import math
-
-        rounds = math.ceil(math.log2(nprocs))
-        return rounds * self.transfer_time(nbytes)
 
 
 @dataclass(frozen=True)

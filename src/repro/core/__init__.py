@@ -7,7 +7,6 @@ from repro.core.actions import (
     ResizeRequest,
 )
 from repro.core.dmr import INHIBITED, DMRSession
-from repro.core.handler import OffloadHandler
 from repro.core.inhibitor import CheckInhibitor
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "DMRSession",
     "DecisionReason",
     "INHIBITED",
-    "OffloadHandler",
     "ResizeAction",
     "ResizeDecision",
     "ResizeRequest",

@@ -79,7 +79,3 @@ class DMRSession:
         if to_apply is not None and to_apply.action is ResizeAction.NO_ACTION:
             return None
         return to_apply
-
-    def cancel_pending(self) -> None:
-        """Drop a scheduled decision (e.g. the job is about to finish)."""
-        self._pending = None

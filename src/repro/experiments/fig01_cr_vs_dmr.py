@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 from repro.api import artifact
 from repro.checkpoint.cr import (
     CheckpointRestart,
-    CRConfig,
     DMRReconfiguration,
     ReconfigurationCost,
     spawning_factor,
@@ -87,11 +86,10 @@ def run_fig01(
     state_bytes: float = FIG1_STATE_BYTES,
     initial_procs: int = FIG1_INITIAL_PROCS,
     targets: Tuple[int, ...] = FIG1_TARGETS,
-    cr_config: CRConfig | None = None,
 ) -> Fig01Result:
     """Compute the Fig. 1 comparison."""
     cluster = cluster or marenostrum_production()
-    cr = CheckpointRestart(cluster, cr_config)
+    cr = CheckpointRestart(cluster)
     dmr = DMRReconfiguration(cluster)
     rows = [
         Fig01Row(

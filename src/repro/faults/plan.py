@@ -106,13 +106,6 @@ class FaultPlan:
     def failure_count(self) -> int:
         return sum(1 for e in self.events if e.kind is FaultKind.NODE_FAIL)
 
-    def clipped(self, horizon: float) -> "FaultPlan":
-        """The plan restricted to events at ``time < horizon``."""
-        return FaultPlan(
-            events=tuple(e for e in self.events if e.time < horizon),
-            name=self.name,
-        )
-
     # -- constructors -------------------------------------------------------
     @staticmethod
     def scripted(events: Iterable[FaultEvent], name: str = "scripted") -> "FaultPlan":

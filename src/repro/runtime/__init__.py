@@ -1,22 +1,15 @@
 """Nanos++ runtime substrate: job execution, DMR calls, redistribution."""
 
 from repro.runtime.nanos import NanosRuntime, RuntimeConfig, install_runtime_launcher
-from repro.runtime.offload import (
-    OFFLOAD_TAG,
-    OffloadRegion,
-    listing3_destinations,
-    receive_offload,
-)
+from repro.runtime.offload import OFFLOAD_TAG, OffloadRegion, receive_offload
 from repro.runtime.redistribution import (
     RedistributionPlan,
     Transfer,
     plan_block_remap,
     plan_expand,
-    plan_for_handler,
     plan_for_resize,
     plan_migrate,
     plan_shrink,
-    senders_and_receivers,
 )
 
 __all__ = [
@@ -27,13 +20,10 @@ __all__ = [
     "RuntimeConfig",
     "Transfer",
     "install_runtime_launcher",
-    "listing3_destinations",
     "receive_offload",
     "plan_block_remap",
     "plan_expand",
-    "plan_for_handler",
     "plan_for_resize",
     "plan_migrate",
     "plan_shrink",
-    "senders_and_receivers",
 ]

@@ -9,7 +9,8 @@ Nanos++ runtime instance exists per MPI job in the paper.  The runtime:
   DMR logic (inhibitor + sync/async hand-off) and the RMS policy;
 * performs the resize actions — the Slurm expand/shrink protocol, the
   ``MPI_Comm_spawn`` of the new process set, and the data redistribution
-  modeled through the Listing 3 transfer plans and the network model.
+  modeled through the Listing 3 transfer plans and the network model,
+  charged by the formulas of :mod:`repro.runtime.costs`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from repro.apps.base import AppModel
 from repro.cluster.configs import ClusterConfig
 from repro.core.actions import DecisionReason, ResizeAction, ResizeDecision
 from repro.core.dmr import INHIBITED, DMRSession
-from repro.core.handler import OffloadHandler
 from repro.errors import RuntimeAPIError
 from repro.metrics.trace import DMR_CHECK, EventKind
 from repro.sim.events import Event
 from repro.slurm.controller import SlurmController
 from repro.slurm.job import Job, JobState
 from repro.slurm.resize import expand_protocol, shrink_protocol
+from repro.runtime.costs import redistribution_time, relaunch_time, shrink_ack_time
 from repro.runtime.redistribution import plan_for_resize
 
 
@@ -40,10 +41,6 @@ class RuntimeConfig:
     check_cost: float = 0.15
     #: Use ``dmr_icheck_status`` semantics (decision applied one step late).
     async_mode: bool = False
-    #: Base cost of gathering shrink ACKs at the management node, plus a
-    #: per-released-node term (synchronized workflow of Section V-B2).
-    ack_base: float = 0.05
-    ack_per_node: float = 0.01
     #: Periodic checkpointing for *non-flexible* jobs (the C/R fault
     #: baseline): every N iterations the application state is written to
     #: the shared filesystem, and a requeued job restarts from its last
@@ -51,10 +48,6 @@ class RuntimeConfig:
     #: jobs never checkpoint — the DMR mechanism shrinks away from
     #: failing nodes instead.  None disables checkpointing.
     checkpoint_period_steps: Optional[int] = None
-    #: Fixed + per-process relaunch cost a requeued job pays at restart
-    #: (srun/prolog/daemon setup; mirrors the Fig. 1 C/R cost model).
-    restart_base: float = 2.0
-    restart_per_process: float = 0.5
 
 
 class _Requeued(Exception):
@@ -156,12 +149,7 @@ class NanosRuntime:
         """Costs a requeued incarnation pays before computing again."""
         job = self.job
         started_at = self.env.now
-        relaunch = (
-            self.config.restart_base
-            + self.config.restart_per_process * job.num_nodes
-        )
-        if relaunch > 0:
-            yield self.env.timeout(relaunch)
+        yield self.env.timeout(relaunch_time(job.num_nodes))
         if cp_period and job.checkpoint_steps > 0:
             read = self.cluster.storage.read_time(
                 self.app.state_bytes, nclients=max(1, job.num_nodes)
@@ -289,19 +277,16 @@ class NanosRuntime:
         return round_trip, resize
 
     # -- resize actions ----------------------------------------------------------
-    def _do_expand(
-        self, decision: ResizeDecision
-    ) -> Generator[Event, object, Optional[OffloadHandler]]:
+    def _do_expand(self, decision: ResizeDecision) -> Generator[Event, object, None]:
         job = self.job
         old = job.num_nodes
         target = decision.target_procs
         if target <= old:
-            return None  # stale asynchronous decision already satisfied
+            return  # stale asynchronous decision already satisfied
 
         reconfig_t0 = self.env.now
-        nodes = yield from expand_protocol(self.controller, job, target)
-        if nodes is None:
-            return None  # aborted: resources went elsewhere meanwhile
+        if (yield from expand_protocol(self.controller, job, target)) is None:
+            return  # aborted: resources went elsewhere meanwhile
 
         new = job.num_nodes
         # Spawn the new process set (MPI_Comm_spawn across the final
@@ -310,9 +295,7 @@ class NanosRuntime:
         yield self.env.timeout(self.cluster.spawn.spawn_time(new))
         plan = plan_for_resize(old, new, self.app.state_bytes)
         yield self.env.timeout(
-            self.cluster.network.redistribution_time(
-                plan.bytes_out, plan.bytes_in, messages=max(1, plan.message_count)
-            )
+            redistribution_time(self.cluster.network, plan)
             * self.controller.machine.network_factor
         )
         self.resize_count += 1
@@ -325,38 +308,24 @@ class NanosRuntime:
                 track="runtime", job_id=job.job_id, action="expand",
                 old_procs=old, new_procs=new,
             )
-        return OffloadHandler(
-            action=ResizeAction.EXPAND,
-            old_procs=old,
-            new_procs=new,
-            nodes=nodes,
-            created_at=self.env.now,
-        )
 
-    def _do_shrink(
-        self, decision: ResizeDecision
-    ) -> Generator[Event, object, Optional[OffloadHandler]]:
+    def _do_shrink(self, decision: ResizeDecision) -> Generator[Event, object, None]:
         job = self.job
         old = job.num_nodes
         target = decision.target_procs
         if target >= old:
-            return None  # stale asynchronous decision already satisfied
+            return  # stale asynchronous decision already satisfied
 
         reconfig_t0 = self.env.now
         # Quiesce: outgoing ranks finish their offloaded tasks and ACK to
         # the management node before Slurm may reclaim their nodes.
-        releasing = old - target
-        yield self.env.timeout(
-            self.config.ack_base + self.config.ack_per_node * releasing
-        )
+        yield self.env.timeout(shrink_ack_time(old - target))
         # Spawn the reduced process set and move the data: senders forward
         # their blocks to group receivers (the network stage of Listing 3).
         yield self.env.timeout(self.cluster.spawn.spawn_time(target))
         plan = plan_for_resize(old, target, self.app.state_bytes)
         yield self.env.timeout(
-            self.cluster.network.redistribution_time(
-                plan.bytes_out, plan.bytes_in, messages=max(1, plan.message_count)
-            )
+            redistribution_time(self.cluster.network, plan)
             * self.controller.machine.network_factor
         )
         # A forced (node-failure) shrink must evacuate exactly the DOWN
@@ -381,13 +350,6 @@ class NanosRuntime:
                 old_procs=old, new_procs=target,
                 forced=decision.reason is DecisionReason.NODE_FAILURE,
             )
-        return OffloadHandler(
-            action=ResizeAction.SHRINK,
-            old_procs=old,
-            new_procs=target,
-            nodes=self.controller.machine.nodes_of(job.job_id),
-            created_at=self.env.now,
-        )
 
 
 def install_runtime_launcher(

@@ -22,13 +22,10 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Tuple
 
-from repro.core.actions import ResizeAction
-from repro.core.handler import OffloadHandler
 from repro.errors import RuntimeAPIError
 from repro.mpi.comm import Intercommunicator
 from repro.mpi.executor import RankContext
 from repro.mpi.ops import Op
-from repro.runtime.redistribution import overlapping_new_ranks
 
 #: Message tag reserved for offloaded task payloads.
 OFFLOAD_TAG = 0x0F0D
@@ -47,28 +44,6 @@ class OffloadRegion:
         self.handler = handler
         self._tasks: List[int] = []
         self._closed = False
-
-    @classmethod
-    def from_handler(
-        cls, ctx: RankContext, handler: OffloadHandler
-    ) -> "OffloadRegion":
-        """Open a region onto the process set a DMR resize spawned.
-
-        ``handler`` is the opaque :class:`~repro.core.handler.OffloadHandler`
-        returned by ``dmr_check_status``; on real (MPI-substrate)
-        executions its ``comm`` field carries the spawn intercommunicator
-        that ``onto(handler, dest)`` targets.
-        """
-        if not isinstance(handler, OffloadHandler):
-            raise RuntimeAPIError(
-                f"from_handler() needs an OffloadHandler, got {handler!r}"
-            )
-        if handler.comm is None:
-            raise RuntimeAPIError(
-                "handler carries no communicator: simulated resizes have "
-                "no process set to offload onto"
-            )
-        return cls(ctx, handler.comm)
 
     def task(
         self, dest: int, inout: Any, resume_at: int = 0
@@ -101,36 +76,6 @@ class OffloadRegion:
     def offloaded(self) -> Tuple[int, ...]:
         """Destinations that received a task from this rank."""
         return tuple(self._tasks)
-
-
-def listing3_destinations(handler: OffloadHandler, rank: int) -> Tuple[int, ...]:
-    """Where old rank ``rank`` offloads its data under the Listing 3 mapping.
-
-    * **Expand**: the rank partitions its block into ``factor`` subsets and
-      offloads subset ``i`` onto new rank ``rank * factor + i``.
-    * **Shrink**: only each group's *receiver* (last member) offloads — the
-      merged block goes to new rank ``rank // factor``; senders forward
-      inside the old process set and offload nothing.
-    * **Migration** (equal sizes): every rank offloads onto its namesake.
-    * **Non-homogeneous resizes** (neither a multiple nor a divisor) use
-      the block-remap overlap: the rank offloads to every new rank whose
-      block intersects its own, mirroring ``plan_block_remap``.
-    """
-    if not 0 <= rank < handler.old_procs:
-        raise RuntimeAPIError(
-            f"rank {rank} outside the old process set [0, {handler.old_procs})"
-        )
-    try:
-        factor = handler.factor
-    except ValueError:
-        return overlapping_new_ranks(handler.old_procs, handler.new_procs, rank)
-    if handler.action is ResizeAction.EXPAND:
-        return tuple(rank * factor + i for i in range(factor))
-    if handler.action is ResizeAction.SHRINK:
-        if rank % factor == factor - 1:  # the group's receiver
-            return (rank // factor,)
-        return ()
-    return (rank,)
 
 
 def receive_offload(ctx: RankContext) -> Generator[Op, Any, Tuple[Any, int]]:

@@ -19,9 +19,8 @@ multiple/divisor) resizes, which the paper states the model also supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.core.handler import OffloadHandler
 from repro.errors import RedistributionError
 
 
@@ -135,44 +134,13 @@ def plan_migrate(nprocs: int, total_bytes: float) -> RedistributionPlan:
     return plan
 
 
-def _block_overlaps(
-    old_procs: int, new_procs: int, old_rank: int
-) -> Tuple[Tuple[int, float], ...]:
-    """``(new_rank, overlap)`` pairs for old rank ``old_rank``'s block.
-
-    Blocks are the unit-total block distribution ``[r/p, (r+1)/p)``; the
-    overlap is the intersected fraction of the total.  This is the single
-    source of block-intersection math behind :func:`plan_block_remap` and
-    :func:`overlapping_new_ranks`.
-    """
-    lo, hi = old_rank / old_procs, (old_rank + 1) / old_procs
-    first = int(lo * new_procs)
-    last = min(new_procs - 1, int(hi * new_procs))
-    pairs = []
-    for n in range(first, last + 1):
-        overlap = min(hi, (n + 1) / new_procs) - max(lo, n / new_procs)
-        if overlap > 0:
-            pairs.append((n, overlap))
-    return tuple(pairs)
-
-
-def overlapping_new_ranks(
-    old_procs: int, new_procs: int, old_rank: int
-) -> Tuple[int, ...]:
-    """New ranks whose block intersects old rank ``old_rank``'s block.
-
-    The per-rank destination set behind the offload mapping
-    (:func:`repro.runtime.offload.listing3_destinations`).
-    """
-    return tuple(n for n, _ in _block_overlaps(old_procs, new_procs, old_rank))
-
-
 def plan_block_remap(
     old_procs: int, new_procs: int, total_bytes: float
 ) -> RedistributionPlan:
     """General block-to-block remap (supports arbitrary resizes).
 
-    Item ranges are block-distributed in both configurations; each
+    Item ranges are block-distributed in both configurations (rank ``r``
+    of ``p`` holds the fraction ``[r/p, (r+1)/p)`` of the total); each
     overlapping (old rank, new rank) range pair becomes one transfer.
     Same-rank overlaps stay local and generate no transfer.
     """
@@ -181,12 +149,14 @@ def plan_block_remap(
     if total_bytes == 0 or old_procs == new_procs:
         return plan
     for old_rank in range(old_procs):
-        for new_rank, overlap in _block_overlaps(old_procs, new_procs, old_rank):
-            if old_rank == new_rank:
-                continue  # data already in place
-            plan.transfers.append(
-                Transfer(src=old_rank, dst=new_rank, nbytes=overlap * total_bytes)
-            )
+        lo, hi = old_rank / old_procs, (old_rank + 1) / old_procs
+        last = min(new_procs - 1, int(hi * new_procs))
+        for n in range(int(lo * new_procs), last + 1):
+            overlap = min(hi, (n + 1) / new_procs) - max(lo, n / new_procs)
+            if overlap > 0 and n != old_rank:  # same rank: data in place
+                plan.transfers.append(
+                    Transfer(src=old_rank, dst=n, nbytes=overlap * total_bytes)
+                )
     return plan
 
 
@@ -211,28 +181,3 @@ def plan_for_resize(
     if old_procs % new_procs == 0:
         return plan_shrink(old_procs, new_procs, total_bytes)
     return plan_block_remap(old_procs, new_procs, total_bytes)
-
-
-def plan_for_handler(
-    handler: OffloadHandler, total_bytes: float
-) -> RedistributionPlan:
-    """Plan the data movement behind a resize's :class:`OffloadHandler`.
-
-    The handler returned by ``dmr_check_status`` already fixes the old and
-    new process counts; the plan describes the transfers the offloaded
-    tasks of Listing 3 will perform for a ``total_bytes`` dataset.
-    """
-    return plan_for_resize(handler.old_procs, handler.new_procs, total_bytes)
-
-
-def senders_and_receivers(old_procs: int, factor: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Partition old ranks into (senders, receivers) per Listing 3."""
-    if factor < 2:
-        raise RedistributionError(f"shrink factor must be >= 2, got {factor}")
-    if old_procs % factor:
-        raise RedistributionError(
-            f"old_procs ({old_procs}) not divisible by factor ({factor})"
-        )
-    senders = tuple(r for r in range(old_procs) if (r % factor) < factor - 1)
-    receivers = tuple(r for r in range(old_procs) if (r % factor) == factor - 1)
-    return senders, receivers

@@ -93,22 +93,9 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the outcome of another event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.defused_fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the engine will not crash."""
         self._defused = True
-
-    def defused_fail(self, exception: BaseException) -> "Event":
-        """Fail the event but pre-defuse it (used by condition plumbing)."""
-        self.fail(exception)
-        self._defused = True
-        return self
 
     def __repr__(self) -> str:
         state = (

@@ -29,8 +29,8 @@ node daemons.
 * :meth:`SlurmController.detach_all_nodes`, :meth:`SlurmController.grow_job`
   and :meth:`SlurmController.shrink_job` are the Section III Slurm API
   steps the runtime's resize protocol (:mod:`repro.slurm.resize`) drives
-  after an affirmative decision; the runtime then wraps the result in a
-  :class:`repro.core.handler.OffloadHandler` for data redistribution.
+  after an affirmative decision; the runtime then charges the spawn and
+  the Listing 3 data redistribution (:mod:`repro.runtime.costs`).
 """
 
 from __future__ import annotations

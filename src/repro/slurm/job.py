@@ -261,11 +261,6 @@ class Job:
             raise JobStateError(f"job {self.job_id} missing start/end time")
         return self.end_time - self.start_time
 
-    @property
-    def completion_time(self) -> float:
-        """The paper's 'completion time': waiting plus execution."""
-        return self.wait_time + self.execution_time
-
     def __repr__(self) -> str:
         return (
             f"<Job {self.job_id} {self.name!r} {self.state.value} "

@@ -5,14 +5,15 @@ Feitelson, which characterizes rigid jobs based on observations from logs
 of actual cluster workloads" and highlights four parameters (Section
 VII-C): number of jobs, job size (a hand-tailored discrete distribution
 emphasizing small jobs and powers of two), runtime (hyperexponential,
-correlated with size), and Poisson inter-arrival times.  Feitelson's model
-additionally includes repeated runs of the same job, reproduced here too.
+correlated with size), and Poisson inter-arrival times.  Feitelson's
+repeated runs of the same job are not modelled: no generated workload
+uses them.
 
 This module implements those components with the shapes described in
 Feitelson & Rudolph (JSSPP '96): the job-size distribution is harmonic
-with a strong boost on powers of two and on "interesting" sizes, runtimes
-come from a two-branch hyperexponential whose long-branch probability
-grows with job size, and repetition counts follow a truncated Zipf.
+with a strong boost on powers of two and on "interesting" sizes, and
+runtimes come from a two-branch hyperexponential whose long-branch
+probability grows with job size.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class FeitelsonConfig:
     runtime_cap: float = 0.0
     #: Mean inter-arrival time of the Poisson process, seconds.
     arrival_mean: float = 10.0
-    #: Maximum number of repeated runs of one job specification.
-    max_repetitions: int = 6
-    #: Zipf exponent for the repetition count (heavier -> fewer repeats).
-    repetition_exponent: float = 2.5
 
     def __post_init__(self) -> None:
         if not 1 <= self.min_size <= self.max_size:
@@ -68,12 +65,10 @@ class FeitelsonConfig:
             raise WorkloadError("long-branch probabilities must be in [0, 1]")
         if self.arrival_mean <= 0:
             raise WorkloadError("arrival_mean must be positive")
-        if self.max_repetitions < 1:
-            raise WorkloadError("max_repetitions must be >= 1")
 
 
 class FeitelsonModel:
-    """Sampler for sizes, runtimes, repetitions and arrival times."""
+    """Sampler for sizes, runtimes and arrival times."""
 
     def __init__(self, config: FeitelsonConfig, rng: RandomStreams) -> None:
         self.config = config
@@ -121,15 +116,6 @@ class FeitelsonModel:
         if cfg.runtime_cap > 0:
             runtime = min(runtime, cfg.runtime_cap)
         return runtime
-
-    # -- repetitions -----------------------------------------------------------
-    def sample_repetitions(self) -> int:
-        """Number of consecutive runs of the same job (>= 1)."""
-        cfg = self.config
-        ks = np.arange(1, cfg.max_repetitions + 1, dtype=float)
-        probs = ks**-cfg.repetition_exponent
-        probs /= probs.sum()
-        return int(self.rng.choice("feitelson.repeats", list(range(1, cfg.max_repetitions + 1)), p=probs))
 
     # -- arrivals ------------------------------------------------------------------
     def sample_interarrival(self) -> float:

@@ -75,9 +75,10 @@ def fs_workload(
 ) -> WorkloadSpec:
     """Generate one FS workload (the flexible rendition).
 
-    The fixed rendition is obtained with
-    :meth:`WorkloadSpec.with_flexible_ratio_zero` so both renditions share
-    identical job sizes, runtimes and arrival times, as in the paper.
+    The fixed rendition is the same spec run with
+    ``Session.run(spec, flexible=False)``, which builds every job with
+    ``JobSpec.build_job(False)``, so both renditions share identical job
+    sizes, runtimes and arrival times, as in the paper.
     """
     if num_jobs < 1:
         raise WorkloadError(f"num_jobs must be >= 1, got {num_jobs}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.apps.base import AppModel
@@ -85,11 +85,3 @@ class WorkloadSpec:
     @property
     def flexible_ratio(self) -> float:
         return self.flexible_count / len(self.jobs) if self.jobs else 0.0
-
-    def with_flexible_ratio_zero(self) -> "WorkloadSpec":
-        """A copy whose jobs are all marked fixed (the baseline rendition)."""
-        return WorkloadSpec(
-            name=f"{self.name}-fixed",
-            jobs=[replace(s, flexible=False) for s in self.jobs],
-            seed=self.seed,
-        )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps import (
-    AmdahlScalability,
     AppModel,
     LinearScalability,
     MeasuredScalability,
@@ -22,13 +21,6 @@ class TestScalability:
         assert s.speedup(16) == 16.0
         with pytest.raises(ReproError):
             s.speedup(0)
-
-    def test_amdahl(self):
-        s = AmdahlScalability(serial_fraction=0.1)
-        assert s.speedup(1) == pytest.approx(1.0)
-        assert s.speedup(10) == pytest.approx(1 / (0.1 + 0.09))
-        with pytest.raises(ReproError):
-            AmdahlScalability(1.5)
 
     def test_measured_exact_points(self):
         s = MeasuredScalability({1: 1.0, 8: 6.0, 32: 7.0})
@@ -91,12 +83,6 @@ class TestAppModel:
         app.advance()
         with pytest.raises(ReproError):
             app.advance()
-
-    def test_reset(self):
-        app = self.app()
-        app.advance(4)
-        app.reset()
-        assert app.completed_steps == 0
 
     def test_fresh_copy_independent_progress(self):
         app = self.app()

@@ -1,8 +1,6 @@
 """Tests for network, spawn and storage performance models."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterConfig,
@@ -16,25 +14,16 @@ from repro.cluster import (
 
 
 class TestNetworkModel:
-    def test_transfer_time_linear_in_bytes(self):
-        net = NetworkModel(latency=0.0, bandwidth=1e9)
-        assert net.transfer_time(1e9) == pytest.approx(1.0)
-        assert net.transfer_time(2e9) == pytest.approx(2.0)
-
     def test_latency_per_message(self):
         net = NetworkModel(latency=1e-3, bandwidth=1e9)
-        assert net.transfer_time(0, nmessages=5) == pytest.approx(5e-3)
+        t = net.redistribution_time({0: 0.0}, {1: 0.0}, messages=5)
+        assert t == pytest.approx(5e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkModel(bandwidth=0)
         with pytest.raises(ValueError):
             NetworkModel(latency=-1)
-        net = NetworkModel()
-        with pytest.raises(ValueError):
-            net.transfer_time(-1)
-        with pytest.raises(ValueError):
-            net.transfer_time(10, nmessages=0)
 
     def test_redistribution_critical_path_is_slowest_rank(self):
         net = NetworkModel(latency=0.0, bandwidth=1e9, bisection_bandwidth=1e12)
@@ -56,20 +45,6 @@ class TestNetworkModel:
 
     def test_redistribution_empty_is_free(self):
         assert NetworkModel().redistribution_time({}, {}) == 0.0
-
-    def test_broadcast_time_log_rounds(self):
-        net = NetworkModel(latency=0.0, bandwidth=1e9)
-        one = net.transfer_time(1e6)
-        assert net.broadcast_time(1e6, 8) == pytest.approx(3 * one)
-        assert net.broadcast_time(1e6, 1) == 0.0
-        with pytest.raises(ValueError):
-            net.broadcast_time(1e6, 0)
-
-    @given(st.floats(min_value=0, max_value=1e12))
-    @settings(max_examples=50, deadline=None)
-    def test_property_transfer_monotone(self, nbytes):
-        net = NetworkModel()
-        assert net.transfer_time(nbytes + 1) >= net.transfer_time(nbytes)
 
 
 class TestSpawnModel:

@@ -79,12 +79,6 @@ class TestAsynchronous:
         assert answers[0] is None
         assert [a.target_procs for a in answers[1:]] == [8, 16]
 
-    def test_cancel_pending(self):
-        s = DMRSession(async_mode=True)
-        s.check(0.0, expand, 8)
-        s.cancel_pending()
-        assert s.check(1.0, expand, 16) is None
-
     def test_async_respects_inhibitor(self):
         s = DMRSession(sched_period=10.0, async_mode=True)
         s.check(10.0, expand, 8)

@@ -42,15 +42,6 @@ class TestFaultPlan:
         )
         assert [e.time for e in plan] == [3.0, 9.0]
 
-    def test_clipped_drops_late_events(self):
-        plan = FaultPlan.scripted(
-            [
-                FaultEvent(time=3.0, kind=FaultKind.NODE_FAIL, node=0),
-                FaultEvent(time=30.0, kind=FaultKind.NODE_FAIL, node=1),
-            ]
-        )
-        assert len(plan.clipped(10.0)) == 1
-
     def test_plan_pickles(self):
         plan = FaultPlan.from_mtbf(
             mtbf=100.0, horizon=1000.0, num_nodes=8, seed=3, repair_time=50.0

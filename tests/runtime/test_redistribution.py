@@ -8,8 +8,8 @@ from repro.errors import RedistributionError
 from repro.runtime import (
     plan_block_remap,
     plan_expand,
+    plan_for_resize,
     plan_shrink,
-    senders_and_receivers,
 )
 
 
@@ -81,23 +81,6 @@ class TestShrinkPlan:
             plan_shrink(4, 8, 100.0)
 
 
-class TestSendersReceivers:
-    def test_partition(self):
-        senders, receivers = senders_and_receivers(8, factor=4)
-        assert senders == (0, 1, 2, 4, 5, 6)
-        assert receivers == (3, 7)
-
-    def test_every_rank_classified_once(self):
-        senders, receivers = senders_and_receivers(12, factor=2)
-        assert sorted(senders + receivers) == list(range(12))
-
-    def test_validation(self):
-        with pytest.raises(RedistributionError):
-            senders_and_receivers(8, factor=1)
-        with pytest.raises(RedistributionError):
-            senders_and_receivers(7, factor=2)
-
-
 class TestBlockRemap:
     def test_same_size_no_transfers(self):
         assert plan_block_remap(4, 4, 400.0).transfers == []
@@ -137,3 +120,23 @@ class TestBlockRemap:
             o_lo, o_hi = new_rank * total / old, (new_rank + 1) * total / old
             local = max(0.0, min(hi, o_hi) - max(lo, o_lo)) if new_rank < old else 0.0
             assert received.get(new_rank, 0.0) + local == pytest.approx(block)
+
+
+class TestPlanForResize:
+    def test_homogeneous_expand_uses_listing3_mapping(self):
+        plan = plan_for_resize(2, 8, 800.0)
+        assert plan.kind == "expand"
+        assert {t.dst for t in plan.transfers} == set(range(8))
+
+    def test_homogeneous_shrink_uses_listing3_mapping(self):
+        plan = plan_for_resize(8, 2, 800.0)
+        assert plan.kind == "shrink"
+        # Only sender->receiver transfers cross the network.
+        assert all(t.dst in (3, 7) for t in plan.transfers)
+
+    def test_equal_sizes_migrate(self):
+        assert plan_for_resize(4, 4, 400.0).kind == "migrate"
+
+    def test_non_homogeneous_falls_back_to_remap(self):
+        assert plan_for_resize(2, 3, 600.0).kind == "remap"
+        assert plan_for_resize(3, 2, 600.0).kind == "remap"

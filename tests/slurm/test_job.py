@@ -72,7 +72,6 @@ def test_paper_metrics():
     job.submit_time, job.start_time, job.end_time = 5.0, 15.0, 115.0
     assert job.wait_time == 10.0
     assert job.execution_time == 100.0
-    assert job.completion_time == 110.0
 
 
 def test_metrics_require_timestamps():

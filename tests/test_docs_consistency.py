@@ -9,6 +9,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 #: Dotted names such as ``repro.obs`` or ``repro.api.Session``.
@@ -112,6 +114,14 @@ def test_every_registered_artifact_has_a_digest():
     for name in registry.names():
         forms = {"text", "csv"} if registry.get(name).supports_csv else {"text"}
         assert set(committed[name]) == forms, name
+
+
+def test_ci_workflow_is_valid_yaml():
+    """GitHub runs none of a workflow's jobs when YAML cannot load the
+    file (a plain ``run:`` scalar, say, may not contain ``": "``)."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((REPO / ".github/workflows/ci.yml").read_text())
+    assert "tier1" in workflow["jobs"]
 
 
 #: Files whose ``python -m repro ...`` command lines must parse.

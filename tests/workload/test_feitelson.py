@@ -26,8 +26,6 @@ class TestConfig:
             FeitelsonConfig(long_prob_small=1.5)
         with pytest.raises(WorkloadError):
             FeitelsonConfig(arrival_mean=0)
-        with pytest.raises(WorkloadError):
-            FeitelsonConfig(max_repetitions=0)
 
 
 class TestSizes:
@@ -85,17 +83,6 @@ class TestRuntimes:
 
 
 class TestRepetitionsAndArrivals:
-    def test_repetitions_in_range(self):
-        m = model(max_repetitions=6)
-        reps = [m.sample_repetitions() for _ in range(500)]
-        assert min(reps) >= 1
-        assert max(reps) <= 6
-
-    def test_single_runs_most_common(self):
-        m = model()
-        reps = [m.sample_repetitions() for _ in range(2000)]
-        assert reps.count(1) > len(reps) / 2
-
     def test_arrival_times_monotone(self):
         times = model().arrival_times(100)
         assert all(b > a for a, b in zip(times, times[1:]))

@@ -115,10 +115,11 @@ class TestFSWorkload:
 
     def test_fixed_rendition_shares_jobs(self):
         flex = fs_workload(20, seed=0)
-        fixed = flex.with_flexible_ratio_zero()
+        fixed = [s.build_job(False) for s in flex.jobs]
+        assert flex.flexible_count > 0
         assert len(fixed) == len(flex)
-        assert fixed.flexible_ratio == 0.0
-        assert [s.submit_nodes for s in fixed.jobs] == [
+        assert all(job.job_class is JobClass.RIGID for job in fixed)
+        assert [job.num_nodes for job in fixed] == [
             s.submit_nodes for s in flex.jobs
         ]
 
