@@ -13,9 +13,10 @@ in their respective modules.
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.actions import ResizeRequest
@@ -42,6 +43,11 @@ class LinearScalability(ScalabilityModel):
         return float(nprocs)
 
 
+#: The one linear model: it holds no state, so every FS and SWF
+#: application shares it.
+LINEAR_SCALING = LinearScalability()
+
+
 class MeasuredScalability(ScalabilityModel):
     """Speedup interpolated from measured (nprocs, speedup) points.
 
@@ -59,19 +65,21 @@ class MeasuredScalability(ScalabilityModel):
             points = dict(points)
             points[1] = 1.0
         self.points = dict(sorted(points.items()))
+        self._keys = tuple(self.points)
 
     def speedup(self, nprocs: int) -> float:
+        # Most calls ask for a measured size, and every measured size is
+        # valid (>= 1).
+        measured = self.points.get(nprocs)
+        if measured is not None:
+            return measured
         self._validate(nprocs)
-        keys = list(self.points)
-        if nprocs in self.points:
-            return self.points[nprocs]
+        keys = self._keys
         if nprocs <= keys[0]:
             return self.points[keys[0]]
         if nprocs >= keys[-1]:
             return self.points[keys[-1]]
         # Find the bracketing measured points.
-        import bisect
-
         hi = bisect.bisect_left(keys, nprocs)
         lo = hi - 1
         x0, x1 = keys[lo], keys[hi]
@@ -80,7 +88,7 @@ class MeasuredScalability(ScalabilityModel):
         return y0 + w * (y1 - y0)
 
 
-@dataclass
+@dataclass(slots=True)
 class AppModel:
     """An iterative malleable application (simulation view)."""
 
@@ -99,6 +107,8 @@ class AppModel:
     #: request ("Request an Action" mode — e.g. a computational stage that
     #: demands growth by raising min_procs above the current allocation).
     phase_requests: Optional[Dict[int, ResizeRequest]] = None
+    #: Iterations completed so far (progress, not part of the model).
+    _completed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -111,7 +121,6 @@ class AppModel:
             raise ReproError(f"state_bytes must be >= 0, got {self.state_bytes}")
         if self.sched_period < 0:
             raise ReproError(f"sched_period must be >= 0, got {self.sched_period}")
-        self._completed = 0
 
     def request_at(self, step: int) -> Optional[ResizeRequest]:
         """The DMR request in force at the given iteration.

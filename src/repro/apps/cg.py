@@ -35,6 +35,17 @@ CG_SERIAL_STEP_TIME = 0.36
 #: Flat matrix + 4 vectors redistributed on resize (~512 MiB).
 CG_STATE_BYTES = 512 * MiB
 
+#: One curve and one request for every CG instance: neither is
+#: ever mutated, and :meth:`~repro.apps.base.AppModel.fresh_copy` shares
+#: them between incarnations too.
+CG_SCALABILITY = MeasuredScalability(CG_SPEEDUP)
+CG_RESIZE = ResizeRequest(
+    min_procs=CG_MIN_PROCS,
+    max_procs=CG_MAX_PROCS,
+    factor=2,
+    preferred=CG_PREFERRED,
+)
+
 
 def conjugate_gradient(
     iterations: int = CG_ITERATIONS,
@@ -48,12 +59,7 @@ def conjugate_gradient(
         iterations=iterations,
         serial_step_time=serial_step_time,
         state_bytes=state_bytes,
-        scalability=MeasuredScalability(CG_SPEEDUP),
-        resize=ResizeRequest(
-            min_procs=CG_MIN_PROCS,
-            max_procs=CG_MAX_PROCS,
-            factor=2,
-            preferred=CG_PREFERRED,
-        ),
+        scalability=CG_SCALABILITY,
+        resize=CG_RESIZE,
         sched_period=sched_period,
     )

@@ -27,6 +27,17 @@ JACOBI_SERIAL_STEP_TIME = 0.35
 #: Flat matrix + 2 vectors (~512 MiB).
 JACOBI_STATE_BYTES = 512 * MiB
 
+#: One curve and one request for every Jacobi instance: neither is
+#: ever mutated, and :meth:`~repro.apps.base.AppModel.fresh_copy` shares
+#: them between incarnations too.
+JACOBI_SCALABILITY = MeasuredScalability(JACOBI_SPEEDUP)
+JACOBI_RESIZE = ResizeRequest(
+    min_procs=JACOBI_MIN_PROCS,
+    max_procs=JACOBI_MAX_PROCS,
+    factor=2,
+    preferred=JACOBI_PREFERRED,
+)
+
 
 def jacobi(
     iterations: int = JACOBI_ITERATIONS,
@@ -40,12 +51,7 @@ def jacobi(
         iterations=iterations,
         serial_step_time=serial_step_time,
         state_bytes=state_bytes,
-        scalability=MeasuredScalability(JACOBI_SPEEDUP),
-        resize=ResizeRequest(
-            min_procs=JACOBI_MIN_PROCS,
-            max_procs=JACOBI_MAX_PROCS,
-            factor=2,
-            preferred=JACOBI_PREFERRED,
-        ),
+        scalability=JACOBI_SCALABILITY,
+        resize=JACOBI_RESIZE,
         sched_period=sched_period,
     )

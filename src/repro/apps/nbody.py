@@ -30,6 +30,17 @@ NBODY_SERIAL_STEP_TIME = 24.0
 #: Particle array (position, velocity, mass, weight): ~128 MiB.
 NBODY_STATE_BYTES = 128 * MiB
 
+#: One curve and one request for every N-body instance: neither is
+#: ever mutated, and :meth:`~repro.apps.base.AppModel.fresh_copy` shares
+#: them between incarnations too.
+NBODY_SCALABILITY = MeasuredScalability(NBODY_SPEEDUP)
+NBODY_RESIZE = ResizeRequest(
+    min_procs=NBODY_MIN_PROCS,
+    max_procs=NBODY_MAX_PROCS,
+    factor=2,
+    preferred=NBODY_PREFERRED,
+)
+
 
 def nbody(
     iterations: int = NBODY_ITERATIONS,
@@ -42,12 +53,7 @@ def nbody(
         iterations=iterations,
         serial_step_time=serial_step_time,
         state_bytes=state_bytes,
-        scalability=MeasuredScalability(NBODY_SPEEDUP),
-        resize=ResizeRequest(
-            min_procs=NBODY_MIN_PROCS,
-            max_procs=NBODY_MAX_PROCS,
-            factor=2,
-            preferred=NBODY_PREFERRED,
-        ),
+        scalability=NBODY_SCALABILITY,
+        resize=NBODY_RESIZE,
         sched_period=NBODY_SCHED_PERIOD,
     )

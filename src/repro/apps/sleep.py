@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.apps.base import AppModel, LinearScalability
+from repro.apps.base import LINEAR_SCALING, AppModel
 from repro.cluster.network import GiB
 from repro.core.actions import ResizeRequest
 from repro.errors import ReproError
@@ -47,7 +47,7 @@ def flexible_sleep(
         iterations=steps,
         serial_step_time=step_time * at_procs,
         state_bytes=state_bytes,
-        scalability=LinearScalability(),
+        scalability=LINEAR_SCALING,
         resize=ResizeRequest(
             min_procs=min_procs,
             max_procs=max_procs,

@@ -101,10 +101,6 @@ class Machine:
         freed-at-end correction."""
         return self._held_unreturnable
 
-    def can_allocate(self, count: int) -> bool:
-        """Whether ``count`` free nodes are currently available."""
-        return 0 <= count <= len(self._free)
-
     def all_free(self, node_indices: Sequence[int]) -> bool:
         """Whether every given node is in the free pool."""
         return self._free.issuperset(node_indices)

@@ -66,10 +66,6 @@ class Node:
             self.hostname = f"mn{self.index:04d}"
 
     @property
-    def is_free(self) -> bool:
-        return self.state is NodeState.IDLE
-
-    @property
     def health(self) -> NodeHealth:
         """The node's Slurm-style health bucket."""
         if self.state is NodeState.DOWN:

@@ -50,11 +50,6 @@ class DMRSession:
         """Whether a serviced call blocks on the runtime<->RMS round trip."""
         return not self.async_mode
 
-    @property
-    def pending(self) -> Optional[ResizeDecision]:
-        """The decision negotiated for the next step (asynchronous mode)."""
-        return self._pending
-
     def check(
         self, now: float, decide: Callable[..., ResizeDecision], *args
     ) -> Union[ResizeDecision, None, _Inhibited]:

@@ -58,6 +58,11 @@ class _Requeued(Exception):
 class NanosRuntime:
     """Executes one (possibly malleable) job inside the simulation."""
 
+    __slots__ = (
+        "env", "controller", "job", "app", "cluster", "config", "session",
+        "_round_trip", "resize_count", "check_count",
+    )
+
     def __init__(
         self,
         controller: SlurmController,
@@ -76,16 +81,20 @@ class NanosRuntime:
         self.app = app
         self.cluster = cluster
         self.config = config or RuntimeConfig()
-        self.session = DMRSession(
-            sched_period=app.sched_period,
-            async_mode=self.config.async_mode,
-            start_time=self.env.now,
-        )
+        #: The job's DMR call state; only a flexible job reaches a
+        #: reconfiguring point, so a rigid one has none.
+        self.session: Optional[DMRSession] = None
         #: What a serviced check blocks on: the round trip, paid only in
         #: synchronous mode (a zero cost still blocks for zero seconds).
-        self._round_trip: Optional[float] = (
-            self.config.check_cost if self.session.blocking else None
-        )
+        self._round_trip: Optional[float] = None
+        if job.is_flexible:
+            self.session = DMRSession(
+                sched_period=app.sched_period,
+                async_mode=self.config.async_mode,
+                start_time=self.env.now,
+            )
+            if self.session.blocking:
+                self._round_trip = self.config.check_cost
         #: Number of reconfigurations performed (for tests/metrics).
         self.resize_count = 0
         #: Number of DMR calls that reached the RMS.
@@ -97,7 +106,7 @@ class NanosRuntime:
         from repro.sim.process import Interrupt
 
         job, app = self.job, self.app
-        malleable = job.is_flexible and app.resize is not None
+        malleable = self.session is not None
         cp_period = None if malleable else self.config.checkpoint_period_steps
 
         try:

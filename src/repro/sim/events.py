@@ -127,6 +127,19 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
+def processed_event(env: "Environment", value: Any = None) -> Event:
+    """An event that has already fired with ``value`` and run its callbacks.
+
+    It never enters the heap.  A process that yields it resumes at once
+    with ``value``, and a condition counts it as fired, as with any
+    processed event.
+    """
+    event = Event(env)
+    event._value = value
+    event.callbacks = None
+    return event
+
+
 class ConditionValue:
     """Mapping-like result of a condition: events → values, in firing order."""
 

@@ -61,7 +61,7 @@ from repro.metrics.trace import (
 )
 from repro.obs.spans import PassSpan
 from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.events import Event, processed_event
 from repro.slurm.backfill import BF_MAX_JOB_TEST, plan_backfill
 from repro.slurm.job import Job, JobState, TERMINAL_STATES
 from repro.slurm.priority import MultifactorConfig, MultifactorPriority
@@ -142,6 +142,8 @@ class SlurmController:
         #: Called with each newly started (non-resizer) job; the runtime
         #: layer installs a hook here that launches the job's execution.
         self.launcher: Optional[Callable[[Job], None]] = None
+        #: Start event of each job that has not started yet; a job's
+        #: event leaves as it fires.
         self._start_events: Dict[int, Event] = {}
         #: Simulation process executing each running job (registered by
         #: the launcher; used to deliver kills, dropped when the job
@@ -275,11 +277,17 @@ class SlurmController:
         return job
 
     def started_event(self, job: Job) -> Event:
-        """Event fired (with the job) the moment the job starts running."""
-        try:
-            return self._start_events[job.job_id]
-        except KeyError:
-            raise SchedulerError(f"job {job.job_id} was never submitted") from None
+        """Event fired (with the job) the moment the job starts running.
+
+        For a job that has already started it is an event processed with
+        the job, so a process that yields it resumes at once.
+        """
+        event = self._start_events.get(job.job_id)
+        if event is not None:
+            return event
+        if job.start_time is not None:
+            return processed_event(self.env, job)
+        raise SchedulerError(f"job {job.job_id} was never submitted")
 
     def finish_job(self, job: Job, state: JobState = JobState.COMPLETED) -> None:
         """Mark a running job as finished and release its nodes."""
@@ -302,10 +310,10 @@ class SlurmController:
     def _archive(self, job: Job) -> None:
         """Record a completion; lean mode drops the record immediately.
 
-        With ``retain_finished`` off, the finished :class:`Job` and its
-        start event are released so controller memory tracks the live
-        jobs only.  Its process is dropped from ``job_processes`` by the
-        caller in either mode.
+        With ``retain_finished`` off, the finished :class:`Job` (and the
+        start event of a job cancelled before it started) are released so
+        controller memory tracks the live jobs only.  Its process is
+        dropped from ``job_processes`` by the caller in either mode.
         """
         self.finished_count += 1
         if self.config.retain_finished:
@@ -523,7 +531,7 @@ class SlurmController:
             self.env.now, JOB_START, job.job_id,
             job.num_nodes, nodes, job.is_resizer,
         )
-        self._start_events[job.job_id].succeed(job)
+        self._start_events.pop(job.job_id).succeed(job)
         if self.config.enforce_time_limits and not job.is_resizer:
             self.env.process(self._limit_enforcer(job), name=f"limit-{job.job_id}")
         if self.launcher is not None and not job.is_resizer:

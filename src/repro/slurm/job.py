@@ -147,7 +147,7 @@ class JobClass(enum.Enum):
         return self in (JobClass.MALLEABLE, JobClass.EVOLVING)
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A schedulable (and possibly malleable) job."""
 

@@ -10,7 +10,7 @@ from repro.errors import WorkloadError
 from repro.slurm.job import Job, JobClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """One job of a workload, independent of fixed/flexible execution."""
 

@@ -15,9 +15,12 @@ Fields used (1-based SWF numbering):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from math import isfinite
+from typing import Dict, List, Optional, Sequence
 
-from repro.apps.base import AppModel, LinearScalability
+from repro.apps.base import LINEAR_SCALING, AppModel
+from repro.core.actions import ResizeRequest
 from repro.errors import WorkloadError
 from repro.slurm.job import Job
 from repro.workload.spec import JobSpec, WorkloadSpec
@@ -150,6 +153,34 @@ def _num(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
+@dataclass(slots=True, eq=False)
+class SwfAppFactory:
+    """The application factory of one SWF job.
+
+    Each call builds a fresh :class:`AppModel`: ``steps`` iterations of a
+    perfectly scalable application whose total work is the log's
+    ``runtime x procs``.  A slotted object rather than a closure, so a
+    long log costs one small record per job, and a spec pickles.
+    """
+
+    job_number: int
+    runtime: float
+    procs: int
+    steps: int
+    resize: ResizeRequest
+
+    def __call__(self) -> AppModel:
+        steps = self.steps
+        return AppModel(
+            name=f"swf-{self.job_number}",
+            iterations=steps,
+            serial_step_time=(self.runtime / steps) * self.procs,
+            state_bytes=0.0,
+            scalability=LINEAR_SCALING,
+            resize=self.resize,
+        )
+
+
 def parse_swf(
     text: str,
     steps: int = 25,
@@ -162,8 +193,16 @@ def parse_swf(
     total work equals ``run time x requested processors`` (the log's
     observed demand), split into ``steps`` reconfiguring intervals; jobs
     without a positive run time fall back to the requested time.
+
+    A line with too few fields, a field that is not a number (a word, a
+    fractional processor count), or a submit, run or requested time that
+    is not finite raises :class:`WorkloadError` quoting the line.
     """
     specs: List[JobSpec] = []
+    step_count = max(1, steps)
+    # One request per distinct maximum size: it is frozen, so the jobs
+    # that share a size share it.
+    resizes: Dict[int, ResizeRequest] = {}
     for raw in text.splitlines():
         line = raw.split(";", 1)[0].strip()
         if not line:
@@ -171,61 +210,46 @@ def parse_swf(
         fields = line.split()
         if len(fields) < 11:
             raise WorkloadError(f"malformed SWF line ({len(fields)} fields): {raw!r}")
-        job_number = int(fields[0])
-        submit = float(fields[1])
-        run = float(fields[3])
-        req_procs = int(fields[7])
-        if req_procs <= 0:
-            req_procs = max(1, int(fields[4]))
-        req_time = float(fields[8])
+        try:
+            job_number = int(fields[0])
+            submit = float(fields[1])
+            run = float(fields[3])
+            req_procs = int(fields[7])
+            if req_procs <= 0:
+                req_procs = max(1, int(fields[4]))
+            req_time = float(fields[8])
+        except ValueError:
+            raise WorkloadError(f"malformed SWF number in line: {raw!r}") from None
+        if not (isfinite(submit) and isfinite(run) and isfinite(req_time)):
+            raise WorkloadError(f"non-finite time in SWF line: {raw!r}")
         runtime = run if run > 0 else req_time
         if runtime <= 0:
             continue  # unusable record (cancelled before start, no estimate)
         if submit < 0:
             raise WorkloadError(f"negative submit time in SWF line: {raw!r}")
+        time_limit = 1.2 * runtime
+        if not isfinite(time_limit):
+            raise WorkloadError(f"run time out of range in SWF line: {raw!r}")
 
+        largest = req_procs if max_procs is None else max(max_procs, req_procs)
+        resize = resizes.get(largest)
+        if resize is None:
+            resize = resizes[largest] = ResizeRequest(
+                min_procs=1, max_procs=largest, factor=2
+            )
         specs.append(
-            _swf_jobspec(
-                job_number, submit, runtime, req_procs, steps, flexible, max_procs
+            JobSpec(
+                name=f"swf-{job_number:05d}",
+                submit_nodes=req_procs,
+                arrival_time=submit,
+                app_factory=SwfAppFactory(
+                    job_number, runtime, req_procs, step_count, resize
+                ),
+                flexible=flexible,
+                time_limit=time_limit,
             )
         )
     if not specs:
         raise WorkloadError("SWF log contained no usable jobs")
     return WorkloadSpec(name="swf-import", jobs=specs)
 
-
-def _swf_jobspec(
-    job_number: int,
-    submit: float,
-    runtime: float,
-    procs: int,
-    steps: int,
-    flexible: bool,
-    max_procs: Optional[int],
-) -> JobSpec:
-    from repro.core.actions import ResizeRequest
-
-    limit = max_procs if max_procs is not None else max(procs, 1)
-    step_count = max(1, steps)
-    resize = ResizeRequest(min_procs=1, max_procs=max(limit, procs), factor=2)
-
-    def factory(
-        rt: float = runtime, p: int = procs, n: int = step_count, rz=resize
-    ) -> AppModel:
-        return AppModel(
-            name=f"swf-{job_number}",
-            iterations=n,
-            serial_step_time=(rt / n) * p,
-            state_bytes=0.0,
-            scalability=LinearScalability(),
-            resize=rz,
-        )
-
-    return JobSpec(
-        name=f"swf-{job_number:05d}",
-        submit_nodes=procs,
-        arrival_time=submit,
-        app_factory=factory,
-        flexible=flexible,
-        time_limit=1.2 * runtime,
-    )

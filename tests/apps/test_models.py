@@ -1,5 +1,8 @@
 """Tests for application models and scalability curves."""
 
+import bisect
+import math
+
 import pytest
 
 from repro.apps import (
@@ -11,7 +14,28 @@ from repro.apps import (
     jacobi,
     nbody,
 )
+from repro.apps.cg import CG_SPEEDUP
+from repro.apps.jacobi import JACOBI_SPEEDUP
+from repro.apps.nbody import NBODY_SPEEDUP
 from repro.errors import ReproError
+
+
+def reference_speedup(s: MeasuredScalability, nprocs: int) -> float:
+    """The original lookup: validate, list the keys, then interpolate."""
+    s._validate(nprocs)
+    keys = list(s.points)
+    if nprocs in s.points:
+        return s.points[nprocs]
+    if nprocs <= keys[0]:
+        return s.points[keys[0]]
+    if nprocs >= keys[-1]:
+        return s.points[keys[-1]]
+    hi = bisect.bisect_left(keys, nprocs)
+    lo = hi - 1
+    x0, x1 = keys[lo], keys[hi]
+    y0, y1 = s.points[x0], s.points[x1]
+    w = (math.log2(nprocs) - math.log2(x0)) / (math.log2(x1) - math.log2(x0))
+    return y0 + w * (y1 - y0)
 
 
 class TestScalability:
@@ -38,6 +62,21 @@ class TestScalability:
     def test_measured_adds_unit_point(self):
         s = MeasuredScalability({8: 6.0})
         assert s.speedup(1) == 1.0
+
+    @pytest.mark.parametrize(
+        "points", [CG_SPEEDUP, JACOBI_SPEEDUP, NBODY_SPEEDUP],
+        ids=["cg", "jacobi", "nbody"],
+    )
+    def test_measured_lookup_matches_the_reference(self, points):
+        s = MeasuredScalability(points)
+        for nprocs in range(1, 129):
+            assert s.speedup(nprocs) == reference_speedup(s, nprocs), nprocs
+
+    def test_measured_rejects_a_size_below_one(self):
+        s = MeasuredScalability({1: 1.0, 8: 6.0})
+        for nprocs in (0, -4):
+            with pytest.raises(ReproError):
+                s.speedup(nprocs)
 
     def test_measured_validation(self):
         with pytest.raises(ReproError):
@@ -91,6 +130,14 @@ class TestAppModel:
         assert copy.completed_steps == 0
         assert copy.iterations == app.iterations
 
+    def test_progress_is_not_part_of_equality_or_repr(self):
+        curve = LinearScalability()
+        app, twin = self.app(scalability=curve), self.app(scalability=curve)
+        app.advance(2)
+        assert app == twin
+        assert repr(app) == repr(twin)
+        assert "_completed" not in repr(app)
+
     def test_validation(self):
         with pytest.raises(ReproError):
             self.app(iterations=0)
@@ -103,6 +150,17 @@ class TestAppModel:
 
 
 class TestPaperApplications:
+    @pytest.mark.parametrize(
+        "factory", [conjugate_gradient, jacobi, nbody, flexible_sleep],
+        ids=["cg", "jacobi", "nbody", "fs"],
+    )
+    def test_instances_share_their_model_parts(self, factory):
+        kwargs = {"step_time": 10.0, "at_procs": 4} if factory is flexible_sleep else {}
+        a, b = factory(**kwargs), factory(**kwargs)
+        assert a.scalability is b.scalability
+        if factory is not flexible_sleep:
+            assert a.resize is b.resize
+
     def test_fs_linear_anchor(self):
         app = flexible_sleep(step_time=60.0, at_procs=10, steps=2)
         assert app.step_time(10) == pytest.approx(60.0)

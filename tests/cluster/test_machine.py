@@ -46,13 +46,16 @@ def test_allocate_zero_rejected():
         Machine(4).allocate(1, 0)
 
 
-def test_can_allocate():
+def test_free_count_bounds_an_allocation():
     m = Machine(4)
-    assert m.can_allocate(4)
-    assert not m.can_allocate(5)
+    assert m.free_count == 4
+    with pytest.raises(ClusterError):
+        m.allocate(1, 5)
     m.allocate(1, 2)
-    assert m.can_allocate(2)
-    assert not m.can_allocate(3)
+    assert m.free_count == 2
+    with pytest.raises(ClusterError):
+        m.allocate(2, 3)
+    assert m.free_count == 2
 
 
 def test_release_all_nodes():
@@ -202,7 +205,7 @@ def test_property_alloc_release_conserves_nodes(sizes):
     m = Machine(32)
     placed = []
     for jid, size in enumerate(sizes):
-        if m.can_allocate(size):
+        if size <= m.free_count:
             m.allocate(jid, size)
             placed.append(jid)
     # Invariant: every node is owned by at most one job.

@@ -10,7 +10,7 @@ def test_defaults_match_marenostrum():
     assert node.cores == 16
     assert node.memory_gb == 128.0
     assert node.hostname == "mn0003"
-    assert node.is_free
+    assert node.state is NodeState.IDLE
 
 
 def test_validation():
@@ -29,9 +29,9 @@ def test_assign_and_free():
     node.assign(42)
     assert node.state is NodeState.ALLOCATED
     assert node.job_id == 42
-    assert not node.is_free
+    assert node.state is not NodeState.IDLE
     node.free()
-    assert node.is_free
+    assert node.state is NodeState.IDLE
     assert node.job_id is None
 
 
@@ -48,7 +48,7 @@ def test_drain_lifecycle():
     node.drain()
     assert node.state is NodeState.DRAINING
     node.free()
-    assert node.is_free
+    assert node.state is NodeState.IDLE
 
 
 def test_drain_requires_allocation():

@@ -53,7 +53,8 @@ class TestAsynchronous:
         s = DMRSession(async_mode=True)
         assert s.check(0.0, expand, 8) is None
         assert not s.blocking
-        assert s.pending.target_procs == 8
+        # The negotiated decision is what the next call applies.
+        assert s.check(1.0, no_action).target_procs == 8
 
     def test_second_call_applies_previous_decision(self):
         s = DMRSession(async_mode=True)
@@ -62,7 +63,7 @@ class TestAsynchronous:
         # Applies the step-0 decision even though conditions changed.
         assert out.action is ResizeAction.EXPAND
         assert out.target_procs == 8
-        assert s.pending.action is ResizeAction.SHRINK
+        assert s.check(2.0, no_action).action is ResizeAction.SHRINK
 
     def test_no_action_decisions_are_dropped(self):
         s = DMRSession(async_mode=True)
@@ -83,5 +84,5 @@ class TestAsynchronous:
         s = DMRSession(sched_period=10.0, async_mode=True)
         s.check(10.0, expand, 8)
         assert s.check(12.0, expand, 16) is INHIBITED
-        # Pending decision survives an inhibited call.
-        assert s.pending.target_procs == 8
+        # The pending decision survives an inhibited call.
+        assert s.check(20.0, no_action).target_procs == 8

@@ -119,6 +119,14 @@ class TestMalformedRequests:
         ({"workload": "fs", "num_jobs": True}, "must be an integer"),
         ({"workload": "fs", "flexible": "yes"}, "must be a boolean"),
         ({"workload": "swf"}, "SWF log text"),
+        # A field that is not a number, a fractional processor count and
+        # a non-finite submit time are malformed SWF, not server errors.
+        ({"workload": "swf", "swf": "x 0 -1 5 1 -1 -1 1 10 -1 1"},
+         "malformed SWF number"),
+        ({"workload": "swf", "swf": "1 0 -1 5 1 -1 -1 1.5 10 -1 1"},
+         "malformed SWF number"),
+        ({"workload": "swf", "swf": "1 inf -1 5 1 -1 -1 1 10 -1 1"},
+         "non-finite time"),
     ])
     def test_validation_errors_are_400(self, server, payload, fragment):
         status, body = http(server.port, "POST", "/v1/workloads", payload)

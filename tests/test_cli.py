@@ -240,6 +240,20 @@ def test_run_rejects_unusable_swf(tmp_path, capsys):
     assert "invalid workload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "x 0 -1 5 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1",
+    "1 nan -1 5 1 -1 -1 1 10 -1 1 -1 -1 -1 -1 -1 -1 -1",
+    "1 0 -1 5 1 -1 -1 2.5 10 -1 1 -1 -1 -1 -1 -1 -1 -1",
+])
+def test_run_rejects_a_malformed_swf_field_in_one_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.swf"
+    bad.write_text(line + "\n")
+    assert main(["run", "--workload", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid workload: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_writes_csv(swf_file, tmp_path, capsys):
     out_dir = tmp_path / "csvs"
     assert main(["run", "--workload", str(swf_file), "--csv", str(out_dir)]) == 0

@@ -4,9 +4,14 @@ Fuzzes :func:`repro.workload.swf.export_sched_trace` /
 :func:`repro.workload.swf.parse_swf` with generated traces including the
 awkward records real logs contain: zero-duration jobs, out-of-order
 submit times, sub-centisecond values that round to zero, comment and
-header lines, and trailing whitespace.
+header lines, and trailing whitespace.  A second property feeds the
+parser lines of arbitrary field text (integers, floats, ``nan``,
+``inf``, words, fractional sizes): it answers with a workload whose
+times are all finite or with a :class:`WorkloadError`, nothing else.
 """
 
+import math
+import string
 from dataclasses import dataclass
 from typing import List
 
@@ -138,6 +143,62 @@ class TestSchedTraceRoundTrip:
             assert a.arrival_time == b.arrival_time
             assert a.submit_nodes == b.submit_nodes
             assert a.time_limit == b.time_limit
+
+
+#: Text of one SWF field as logs write it: whole numbers, and
+#: centisecond times in the submit, wait, run and requested-time fields
+#: ...
+integer_text = st.integers(-5, 100_000).map(str)
+time_text = st.one_of(integer_text, st.floats(0.0, 1e6).map(lambda x: f"{x:.2f}"))
+TIME_FIELDS = (1, 2, 3, 8)
+#: ... and what a hostile or broken log may hold instead.
+hostile_text = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+Infinity",
+                     "1e999", "-0", "1.5", "2.25"]),
+    st.integers(10**300, 10**310).map(str),
+    st.text(string.ascii_letters + "_-", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def swf_line(draw) -> str:
+    """A line of 11-18 numeric fields, up to three of them replaced."""
+    size = draw(st.integers(11, 18))
+    fields = [draw(time_text if i in TIME_FIELDS else integer_text)
+              for i in range(size)]
+    swaps = draw(st.lists(st.tuples(st.integers(0, size - 1), hostile_text),
+                          max_size=3))
+    for index, text in swaps:
+        fields[index] = text
+    return " ".join(fields)
+
+
+class TestArbitraryFields:
+    @given(lines=st.lists(swf_line(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_line_parses_to_finite_jobs_or_a_workload_error(self, lines):
+        try:
+            spec = parse_swf("\n".join(lines))
+        except WorkloadError:
+            return
+        assert spec.jobs
+        for js in spec.jobs:
+            assert math.isfinite(js.arrival_time) and js.arrival_time >= 0
+            assert math.isfinite(js.time_limit) and js.time_limit > 0
+            assert js.submit_nodes >= 1
+
+    @pytest.mark.parametrize("field,text", [
+        (0, "x"), (1, "nan"), (1, "inf"), (3, "-inf"), (7, "1.5"),
+        (8, "nan"), (8, "word"), (3, "1e999"), (3, "1.6e308"),
+    ])
+    def test_a_bad_field_names_its_line(self, field, text):
+        fields = "1 0 -1 50 4 -1 -1 4 60 -1 1 -1 -1 -1 -1 -1 -1 -1".split()
+        fields[field] = text
+        line = " ".join(fields)
+        with pytest.raises(WorkloadError) as raised:
+            parse_swf(line)
+        assert repr(line) in str(raised.value)
 
 
 class TestParserEdgeCases:
